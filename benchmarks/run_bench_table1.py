@@ -67,12 +67,6 @@ def _resume_path(directory, name, scale, resume):
     return None
 
 
-def _parallel_verify_arg(args):
-    """None unless --parallel-verify was given (None = keep the spec's
-    default, so the flag's absence cannot flip a spec that enables it)."""
-    return True if getattr(args, "parallel_verify", False) else None
-
-
 def _run_one_serial(name, scale, args, failures):
     """Run one system in-process; any raise becomes an ``error`` row."""
     print(f"[{scale}] {name}: running SNBC ...", flush=True)
@@ -86,7 +80,6 @@ def _run_one_serial(name, scale, args, failures):
             ),
             time_budget_s=args.time_budget,
             profile=getattr(args, "profile", False),
-            parallel_verify=_parallel_verify_arg(args),
         )
     except Exception as exc:
         table1_common.BENCH_ROWS[name] = error_entry(exc)
@@ -223,7 +216,6 @@ def _run_parallel(names, scale, args) -> list:
                         profile=getattr(args, "profile", False),
                         trace_ctx=ctx,
                         submitted_at=time.time(),
-                        parallel_verify=_parallel_verify_arg(args),
                     )
                 futures[fut] = name
                 tel.status_worker(name, state="submitted", shard_index=i)
@@ -328,22 +320,15 @@ def main(argv=None) -> int:
                              "next to its trace.  The profiler samples one "
                              "process: with --jobs each row is profiled "
                              "inside its worker and the driver process "
-                             "itself is not sampled; verifier-pool worker "
-                             "samples are folded into the owning run's "
-                             "profile via the trace-context merge")
-    parser.add_argument("--parallel-verify", action="store_true",
-                        help="override each spec to solve the verifier's "
-                             "condition SDPs in a process pool "
-                             "(SNBCConfig.parallel_verify=True); worker "
-                             "spans/metrics merge into the run trace")
+                             "itself is not sampled")
     args = parser.parse_args(argv)
     if args.resume and not args.checkpoint_dir:
         parser.error("--resume requires --checkpoint-dir")
-    if args.profile and (args.jobs > 1 or args.parallel_verify):
+    if args.profile and args.jobs > 1:
         print(
             "warning: --profile samples one process at a time — the driver "
-            "is not profiled under --jobs; pool-worker samples are merged "
-            "into each run's profile by the trace-context layer",
+            "is not profiled under --jobs; each row is profiled inside its "
+            "worker",
             file=sys.stderr,
         )
 

@@ -27,11 +27,7 @@ from repro.diagnostics import (
 )
 from repro.telemetry import session as telemetry_session
 from repro.telemetry.context import TraceContext
-from repro.telemetry.profiler import (
-    SamplingProfiler,
-    reset_active_profiler,
-    set_active_profiler,
-)
+from repro.telemetry.profiler import SamplingProfiler
 
 #: every Table-1 run emits its trace + manifest here (overwritten per run)
 TELEMETRY_DIR = os.path.join(
@@ -111,7 +107,6 @@ def run_snbc(
     time_budget_s: Optional[float] = None,
     profile: bool = False,
     trace_ctx: Optional[TraceContext] = None,
-    parallel_verify: Optional[bool] = None,
 ) -> SNBCResult:
     """One SNBC run with the spec's Table 1 configuration.
 
@@ -129,15 +124,13 @@ def run_snbc(
     ``timeout`` row instead of an open-ended run.  ``profile=True``
     attaches the sampling profiler for the duration of the run and
     writes ``<base>.stacks.txt`` / ``<base>.profile.json`` next to the
-    trace; the profiler is also registered as the context-active one, so
-    samples from verifier pool workers fold into the same profile.
+    trace.
 
     ``trace_ctx`` (a parent process's
     :class:`~repro.telemetry.context.TraceContext`) makes this run a
     shard of the parent's trace: the session inherits the parent's
     ``trace_id`` and the parent merges this trace after the row
-    completes.  ``parallel_verify`` (when not ``None``) overrides the
-    spec's ``SNBCConfig.parallel_verify``.
+    completes.
     """
     scale = scale or bench_scale()
     spec, problem, controller = prepared(name)
@@ -148,20 +141,14 @@ def run_snbc(
             checkpoint_path=checkpoint_path or snbc_config.checkpoint_path,
             time_budget_s=time_budget_s or snbc_config.time_budget_s,
         )
-    if parallel_verify is not None:
-        snbc_config = dataclasses.replace(
-            snbc_config, parallel_verify=bool(parallel_verify)
-        )
     learner_config = spec.learner_config()
     trace_path = os.path.join(
         os.path.normpath(TELEMETRY_DIR), f"{name}-{scale}.jsonl"
     )
     profiler = SamplingProfiler() if profile else None
-    profiler_token = None
     try:
         if profiler is not None:
             profiler.start()
-            profiler_token = set_active_profiler(profiler)
         with telemetry_session(
             trace_path,
             name=f"table1/{name}",
@@ -193,8 +180,6 @@ def run_snbc(
                 },
             )
     finally:
-        if profiler_token is not None:
-            reset_active_profiler(profiler_token)
         if profiler is not None:
             profiler.stop()
             paths = profiler.write(trace_path)
@@ -220,7 +205,6 @@ def run_snbc_row(
     profile: bool = False,
     trace_ctx: Optional[TraceContext] = None,
     submitted_at: Optional[float] = None,
-    parallel_verify: Optional[bool] = None,
 ) -> Tuple[dict, bool, int, float]:
     """Process-pool entry point for parallel Table-1 rows: run one system
     and return its BENCH row plus the printable summary fields (the
@@ -245,7 +229,6 @@ def run_snbc_row(
         time_budget_s=time_budget_s,
         profile=profile,
         trace_ctx=trace_ctx,
-        parallel_verify=parallel_verify,
     )
     row = BENCH_ROWS[name]
     if queue_wait_s is not None:

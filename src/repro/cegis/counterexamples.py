@@ -37,14 +37,6 @@ class CexConfig:
     gamma_max: float = 1.0
     gamma_samples: int = 48
     seed: int = 0
-    #: evaluate violation values/gradients through compiled batched
-    #: kernels (one matmul over the multi-start batch instead of
-    #: per-polynomial sparse loops).  Off by default: the matmul changes
-    #: the floating-point summation order, so counterexample bits — and
-    #: with them the whole CEGIS trajectory — can shift relative to the
-    #: reference path.  Enable for large state dimensions where the
-    #: ascent loop dominates.
-    compiled_kernels: bool = False
 
 
 @dataclass
@@ -59,49 +51,20 @@ class Counterexample:
 
 
 class _ViolationFn:
-    """A violation functional with values and gradients on batches.
-
-    With ``compiled=True`` the values and gradients go through
-    :func:`repro.poly.fast_eval.compile_field`: the whole multi-start
-    batch reduces to two matmuls per call.  The compiled path sums in a
-    different floating-point order than the sparse per-polynomial loops,
-    so it is *not* bit-for-bit identical — the generator only enables it
-    when :attr:`CexConfig.compiled_kernels` is set.
-    """
+    """A violation functional with values and gradients on batches."""
 
     def __init__(
         self,
         polys_pos: List[Polynomial],
         polys_abs: List[Tuple[float, Polynomial]],
-        compiled: bool = False,
     ):
         # V(x) = sum p(x) + sum c * |q(x)|
         self.polys_pos = polys_pos
         self.polys_abs = polys_abs
         self.grads_pos = [p.grad() for p in polys_pos]
         self.grads_abs = [(c, q, q.grad()) for c, q in polys_abs]
-        self.compiled = compiled
-        if compiled:
-            from repro.poly.fast_eval import compile_field
-
-            self.n_vars = polys_pos[0].n_vars
-            self._cf_pos = compile_field(polys_pos)
-            self._cf_pos_grad = compile_field(
-                [g for grads in self.grads_pos for g in grads]
-            )
-            if polys_abs:
-                self._abs_c = np.array([c for c, _ in polys_abs])
-                self._cf_abs = compile_field([q for _, q in polys_abs])
-                self._cf_abs_grad = compile_field(
-                    [g for _, _, grads in self.grads_abs for g in grads]
-                )
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        if self.compiled:
-            out = self._cf_pos(pts).sum(axis=1)
-            if self.polys_abs:
-                out = out + (np.abs(self._cf_abs(pts)) * self._abs_c).sum(axis=1)
-            return out
         out = np.zeros(len(pts))
         for p in self.polys_pos:
             out += p(pts)
@@ -110,18 +73,6 @@ class _ViolationFn:
         return out
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
-        if self.compiled:
-            m, n = pts.shape
-            out = (
-                self._cf_pos_grad(pts)
-                .reshape(m, len(self.polys_pos), n)
-                .sum(axis=1)
-            )
-            if self.polys_abs:
-                sign = np.sign(self._cf_abs(pts)) * self._abs_c  # (m, j)
-                gq = self._cf_abs_grad(pts).reshape(m, len(self.polys_abs), n)
-                out = out + (sign[:, :, None] * gq).sum(axis=1)
-            return out
         out = np.zeros_like(pts)
         for grads in self.grads_pos:
             for i, g in enumerate(grads):
@@ -157,13 +108,12 @@ class CounterexampleGenerator:
 
     # ------------------------------------------------------------------
     def _violation_fn(self, condition: str, B: Polynomial, lam: Polynomial) -> Tuple[_ViolationFn, SemialgebraicSet]:
-        compiled = self.config.compiled_kernels
         if condition == "init":
             # violated where B < 0 on Theta: V = -B
-            return _ViolationFn([-1.0 * B], [], compiled=compiled), self.problem.theta
+            return _ViolationFn([-1.0 * B], []), self.problem.theta
         if condition == "unsafe":
             # violated where B >= 0 on Xi: V = B
-            return _ViolationFn([B], [], compiled=compiled), self.problem.xi
+            return _ViolationFn([B], []), self.problem.xi
         if condition.startswith("lie"):
             # violated where worst-case Lie margin <= 0 on Psi:
             # margin = L_{f0+Gh} B - sum_j sigma*_j |grad B . G_j| - lam B
@@ -174,7 +124,7 @@ class CounterexampleGenerator:
             abs_terms = [
                 (s, gains[j]) for j, s in enumerate(self.sigma_star) if s > 0.0
             ]
-            return _ViolationFn(margin_pos, abs_terms, compiled=compiled), self.problem.psi
+            return _ViolationFn(margin_pos, abs_terms), self.problem.psi
         raise ValueError(f"unknown condition {condition!r}")
 
     def _ascend(self, fn: _ViolationFn, region: SemialgebraicSet) -> Tuple[np.ndarray, float]:

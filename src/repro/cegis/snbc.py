@@ -126,12 +126,6 @@ class SNBCConfig:
     #: flag a stall when the worst counterexample violation has not
     #: decreased across this many consecutive failed rounds
     stall_window: int = 3
-    #: solve the verifier's condition SDPs (13)-(15) in a process pool
-    #: (ignored when an explicit ``verifier_config`` is supplied); the
-    #: result is identical to the serial path — see
-    #: :attr:`repro.verifier.VerifierConfig.parallel`
-    parallel_verify: bool = False
-    verify_max_workers: Optional[int] = None
     seed: int = 0
     #: wall-clock deadline for the whole run; an overrun anywhere in the
     #: loop ends cleanly with ``outcome == "timeout"`` (the paper's OOT)
@@ -232,11 +226,7 @@ class SNBC:
             # verifier's free lambda can be constant too, keeping every
             # sub-problem quadratic — decisive for high dimensions
             lam_deg = 0 if self.learner_config.lambda_hidden is None else 1
-            verifier_config = VerifierConfig(
-                lambda_degree=lam_deg,
-                parallel=self.config.parallel_verify,
-                max_workers=self.config.verify_max_workers,
-            )
+            verifier_config = VerifierConfig(lambda_degree=lam_deg)
         self.verifier_config = verifier_config
         self.cex_config = cex_config or CexConfig(seed=self.config.seed)
         self._telemetry = telemetry

@@ -24,8 +24,6 @@ site                    effect when fired
                         ``InclusionError``)
 ``budget.deadline``     the next ``TimeBudget.check`` reports exhaustion
 ``bench.pool``          raises ``BrokenProcessPool`` collecting a Table-1 row
-``verifier.pool``       raises ``BrokenProcessPool`` inside the parallel
-                        verifier (exercises the serial fallback)
 ======================  =====================================================
 
 Service sites (PR 9) — the certification service's chaos surface:
@@ -102,7 +100,6 @@ __all__ = [
     "solver_exception",
     "solver_nonconvergence",
     "step_collapse",
-    "verifier_pool_crash",
     "worker_crash",
 ]
 
@@ -171,16 +168,6 @@ def worker_crash(at_call: int = 1, times: int = 1) -> FaultSpec:
     """``BrokenProcessPool`` while collecting a Table-1 row result."""
     return FaultSpec(
         "bench.pool",
-        exception=lambda: BrokenProcessPool("injected worker death"),
-        at_call=at_call,
-        times=times,
-    )
-
-
-def verifier_pool_crash(at_call: int = 1, times: int = 1) -> FaultSpec:
-    """``BrokenProcessPool`` inside the parallel verifier."""
-    return FaultSpec(
-        "verifier.pool",
         exception=lambda: BrokenProcessPool("injected worker death"),
         at_call=at_call,
         times=times,

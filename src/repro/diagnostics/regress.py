@@ -3,7 +3,6 @@
     python -m repro.diagnostics.regress OLD.json NEW.json --max-slowdown 1.3
     python -m repro.diagnostics.regress base.json new.json --systems C1,C3
     python -m repro.diagnostics.regress base.json new.json --ignore-timings
-    python -m repro.diagnostics.regress BENCH_perf_baseline.json BENCH_perf.json
 
 The document kind is auto-detected.  For ``BENCH_table1.json`` documents
 (see :mod:`repro.diagnostics.bench`) the gate compares system by system
@@ -24,12 +23,6 @@ and **exits nonzero** when the new run regressed:
 Audit-margin changes (e.g. a grid margin flipping sign) are reported as
 warnings but do not gate: margins move with every retrain and the hard
 outcome check already covers soundness.
-
-For ``BENCH_perf.json`` documents (see
-:mod:`repro.diagnostics.perfbench`) the gate is **loose on timings**
-(``--max-slowdown``, wall-clocks are machine-dependent) but **hard on
-correctness**: every bench's ``identical`` flag must hold in NEW, and
-the e2e row's CEGIS outcome/iteration count must match OLD.
 
 For ``BENCH_service.json`` documents (see
 :mod:`repro.diagnostics.servicebench`) the gate is hard on the chaos
@@ -54,7 +47,6 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.diagnostics.bench import BENCH_KIND, TIMING_KEYS, load_bench
-from repro.diagnostics.perfbench import PERF_KIND, load_perf
 from repro.diagnostics.scenariobench import (
     SCENARIO_KIND,
     compare_scenario_benches,
@@ -157,77 +149,6 @@ def compare_benches(
     return {"regressions": regressions, "warnings": warnings}
 
 
-def compare_perf_benches(
-    old: Dict[str, Any],
-    new: Dict[str, Any],
-    max_slowdown: float = 3.0,
-    min_seconds: float = 0.05,
-    allow_missing: bool = False,
-    ignore_timings: bool = False,
-) -> Dict[str, List[str]]:
-    """Gate two BENCH_perf documents.
-
-    Timing checks are loose (default 3x: microbench wall-clocks swing
-    with the machine); the ``identical`` flags and the e2e correctness
-    row are hard regardless of ``ignore_timings``.
-    """
-    regressions: List[str] = []
-    warnings: List[str] = []
-    for name, o in old["benches"].items():
-        n = new["benches"].get(name)
-        if n is None:
-            (warnings if allow_missing else regressions).append(
-                f"{name}: present in OLD but missing from NEW"
-            )
-            continue
-        if not n.get("identical", False):
-            regressions.append(
-                f"{name}: optimized path diverged from the reference path"
-            )
-        o_corr, n_corr = o.get("correctness"), n.get("correctness")
-        if o_corr and n_corr:
-            if n_corr.get("outcome") != o_corr.get("outcome"):
-                regressions.append(
-                    f"{name}: outcome regressed "
-                    f"({o_corr.get('outcome')} -> {n_corr.get('outcome')})"
-                )
-            elif n_corr.get("iterations") != o_corr.get("iterations"):
-                regressions.append(
-                    f"{name}: iterations {o_corr.get('iterations')} -> "
-                    f"{n_corr.get('iterations')}"
-                )
-        if not ignore_timings:
-            t_old = float(o.get("seconds", 0.0))
-            t_new = float(n.get("seconds", 0.0))
-            if t_old >= min_seconds and t_new > t_old * max_slowdown:
-                regressions.append(
-                    f"{name}: {t_old:.3f}s -> {t_new:.3f}s "
-                    f"({t_new / t_old:.2f}x > {max_slowdown:.2f}x)"
-                )
-    return {"regressions": regressions, "warnings": warnings}
-
-
-def _render_perf_table(old: Dict[str, Any], new: Dict[str, Any]) -> str:
-    header = (
-        f"{'bench':<18}{'old s':>10}{'new s':>10}{'ratio':>8}"
-        f"{'speedup':>9}{'identical':>11}"
-    )
-    lines = [header, "-" * len(header)]
-    for name in sorted(set(old["benches"]) | set(new["benches"])):
-        o = old["benches"].get(name)
-        n = new["benches"].get(name)
-        t_old = float(o["seconds"]) if o else float("nan")
-        t_new = float(n["seconds"]) if n else float("nan")
-        ratio = t_new / t_old if o and n and t_old > 0 else float("nan")
-        speedup = n.get("speedup") if n else None
-        lines.append(
-            f"{name:<18}{t_old:>10.3f}{t_new:>10.3f}{ratio:>8.2f}"
-            f"{(speedup if speedup is not None else float('nan')):>9.2f}"
-            f"{str(bool(n.get('identical'))) if n else '-':>11}"
-        )
-    return "\n".join(lines)
-
-
 def _detect_kind(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return str(json.load(fh).get("kind", ""))
@@ -256,6 +177,20 @@ def _render_table(old: Dict[str, Any], new: Dict[str, Any]) -> str:
             f"{t_old:>10.3f}{t_new:>10.3f}{ratio:>8.2f}"
         )
     return "\n".join(lines)
+
+
+def _report(table: str, outcome: Dict[str, List[str]]) -> int:
+    """Print the comparison table and verdict; the CLI exit code."""
+    print(table)
+    for w in outcome["warnings"]:
+        print(f"warning: {w}")
+    if outcome["regressions"]:
+        print(f"\n{len(outcome['regressions'])} regression(s):")
+        for r in outcome["regressions"]:
+            print(f"  FAIL {r}")
+        return 1
+    print("\nno regressions")
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -287,10 +222,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"kind mismatch: {args.old} is {kind_old!r}, "
                 f"{args.new} is {kind_new!r}"
             )
-        if kind_old == PERF_KIND:
-            old = load_perf(args.old)
-            new = load_perf(args.new)
-        elif kind_old == SERVICE_KIND:
+        if kind_old == SERVICE_KIND:
             old = load_service_bench(args.old)
             new = load_service_bench(args.new)
         elif kind_old == SCENARIO_KIND:
@@ -306,54 +238,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     if kind_old == SCENARIO_KIND:
-        outcome = compare_scenario_benches(
-            old, new, allow_missing=args.allow_missing
+        return _report(
+            render_scenario_table(old, new),
+            compare_scenario_benches(old, new, allow_missing=args.allow_missing),
         )
-        print(render_scenario_table(old, new))
-        for w in outcome["warnings"]:
-            print(f"warning: {w}")
-        if outcome["regressions"]:
-            print(f"\n{len(outcome['regressions'])} regression(s):")
-            for r in outcome["regressions"]:
-                print(f"  FAIL {r}")
-            return 1
-        print("\nno regressions")
-        return 0
-
     if kind_old == SERVICE_KIND:
-        outcome = compare_service_benches(
-            old, new, allow_missing=args.allow_missing
+        return _report(
+            render_service_table(old, new),
+            compare_service_benches(old, new, allow_missing=args.allow_missing),
         )
-        print(render_service_table(old, new))
-        for w in outcome["warnings"]:
-            print(f"warning: {w}")
-        if outcome["regressions"]:
-            print(f"\n{len(outcome['regressions'])} regression(s):")
-            for r in outcome["regressions"]:
-                print(f"  FAIL {r}")
-            return 1
-        print("\nno regressions")
-        return 0
-
-    if kind_old == PERF_KIND:
-        outcome = compare_perf_benches(
-            old,
-            new,
-            max_slowdown=args.max_slowdown,
-            min_seconds=args.min_seconds,
-            allow_missing=args.allow_missing,
-            ignore_timings=args.ignore_timings,
-        )
-        print(_render_perf_table(old, new))
-        for w in outcome["warnings"]:
-            print(f"warning: {w}")
-        if outcome["regressions"]:
-            print(f"\n{len(outcome['regressions'])} regression(s):")
-            for r in outcome["regressions"]:
-                print(f"  FAIL {r}")
-            return 1
-        print("\nno regressions")
-        return 0
 
     systems = (
         [s.strip() for s in args.systems.split(",") if s.strip()]
@@ -370,17 +263,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         allow_missing=args.allow_missing,
         ignore_timings=args.ignore_timings,
     )
-
-    print(_render_table(old, new))
-    for w in outcome["warnings"]:
-        print(f"warning: {w}")
-    if outcome["regressions"]:
-        print(f"\n{len(outcome['regressions'])} regression(s):")
-        for r in outcome["regressions"]:
-            print(f"  FAIL {r}")
-        return 1
-    print("\nno regressions")
-    return 0
+    return _report(_render_table(old, new), outcome)
 
 
 if __name__ == "__main__":

@@ -158,45 +158,6 @@ def solve_sdp_resilient(
     policy = policy or RecoveryPolicy()
     options = options or InteriorPointOptions()
     base = solve_sdp(problem, options, rung="base", warm_start=warm_start)
-    return _recover(problem, options, policy, base)
-
-
-def solve_sdp_batch_resilient(
-    problems,
-    options: Optional["InteriorPointOptions"] = None,
-    policy: Optional[RecoveryPolicy] = None,
-    warm_starts=None,
-) -> list:
-    """Batched counterpart of :func:`solve_sdp_resilient`.
-
-    The base solves run as one lockstep batch
-    (:func:`repro.sdp.ipm.solve_sdp_batch`, bitwise-equal per lane to
-    serial solves); any lane that fails retryably then walks the same
-    per-problem recovery ladder serially — recovery is the rare path,
-    so it does not need the batch machinery.
-    """
-    from repro.sdp.ipm import InteriorPointOptions, solve_sdp_batch
-
-    policy = policy or RecoveryPolicy()
-    options = options or InteriorPointOptions()
-    base_results = solve_sdp_batch(
-        problems, options, rung="base", warm_starts=warm_starts
-    )
-    return [
-        _recover(problem, options, policy, base)
-        for problem, base in zip(problems, base_results)
-    ]
-
-
-def _recover(
-    problem: SDPProblem,
-    options: "InteriorPointOptions",
-    policy: RecoveryPolicy,
-    base: SDPResult,
-) -> SDPResult:
-    """Walk the ladder for one base result (shared serial/batch tail)."""
-    from repro.sdp.ipm import solve_sdp
-
     if not policy.enabled or base.status not in RETRYABLE_STATUSES:
         return base
 
@@ -243,3 +204,19 @@ def _recover(
         f"{', '.join(policy.strategies[: policy.max_attempts])})"
     ).strip()
     return best
+
+
+def solve_sdp_batch_resilient(
+    problems,
+    options: Optional["InteriorPointOptions"] = None,
+    policy: Optional[RecoveryPolicy] = None,
+    warm_starts=None,
+) -> list:
+    """:func:`solve_sdp_resilient` on each problem in turn;
+    ``warm_starts`` holds one optional point per problem."""
+    if warm_starts is None:
+        warm_starts = [None] * len(problems)
+    return [
+        solve_sdp_resilient(problem, options, policy, warm_start=warm)
+        for problem, warm in zip(problems, warm_starts)
+    ]

@@ -13,33 +13,21 @@ This is the engine behind every LMI feasibility test in
 """
 
 from repro.sdp.svec import smat, smat_batch, svec, svec_dim
-from repro.sdp.problem import (
-    BlockComposition,
-    SDPProblem,
-    compose_block_diagonal,
-)
+from repro.sdp.problem import SDPProblem
 from repro.sdp.result import SDPResult, SDPStatus
 from repro.sdp.trace import IPMTrace, classify_convergence
-from repro.sdp.ipm import (
-    InteriorPointOptions,
-    WarmStart,
-    solve_sdp,
-    solve_sdp_batch,
-)
+from repro.sdp.ipm import InteriorPointOptions, WarmStart, solve_sdp
 from repro.sdp.lmi import LMIResult, solve_lmi
 
 __all__ = [
     "SDPProblem",
     "SDPResult",
     "SDPStatus",
-    "BlockComposition",
-    "compose_block_diagonal",
     "IPMTrace",
     "classify_convergence",
     "InteriorPointOptions",
     "WarmStart",
     "solve_sdp",
-    "solve_sdp_batch",
     "solve_lmi",
     "LMIResult",
     "svec",

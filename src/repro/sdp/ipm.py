@@ -10,29 +10,21 @@ each iteration linearizes the perturbed complementarity ``X Z = sigma mu I``
 as ``dX Z + X dZ = K`` and eliminates ``dX`` and ``dZ`` through the Schur
 complement ``M`` with entries ``M_ij = tr(A_i X A_j Z^{-1})``.
 
-Solver fast path
-----------------
-The per-iteration loop lives in :class:`_IPMState` so the serial driver
-(:func:`solve_sdp`) and the lockstep batch driver (:func:`solve_sdp_batch`)
-share the arithmetic verbatim.  Three layers of speedup sit on top of the
-textbook loop:
+Kernels
+-------
+The per-iteration loop lives in :class:`_IPMState`.  It calls raw LAPACK
+(``dpotrf``/``dpotrs``/``dtrtrs``) instead of the scipy wrappers, whose
+per-call overhead dominates on the small blocks SOS programs produce;
+factors X and Z once per iteration for both line-search calls (the
+iterates do not change in between); and assembles each block's Schur
+contribution with two reshaped GEMMs instead of ``m`` batched 3-tensor
+matmuls.  Every kernel performs the float operations of the textbook
+scipy-wrapper loop in the same order, so results are bitwise identical
+to it; the test suite keeps that loop as a reference oracle.
 
-* ``fast_kernels`` (default on, **bitwise identical** to the legacy scipy
-  path — enforced by the identity suite): raw LAPACK calls
-  (``dpotrf``/``dpotrs``/``dtrtrs``) instead of the scipy wrappers whose
-  per-call overhead dominates on the small blocks SOS programs produce,
-  one Cholesky of X and Z per iteration reused across both line-search
-  calls (the iterates do not change in between), and the per-block Schur
-  assembly collapsed into two reshaped GEMMs instead of ``m`` batched
-  3-tensor matmuls.
-* ``schur_mode="structured"`` (opt-in, *not* bitwise): assemble the Schur
-  complement as an exact congruence ``M = Q Q^T`` with rows
-  ``vec(L^{-1} A_i R)`` where ``X = R R^T`` and ``Z = L L^T`` — one
-  triangular solve + two GEMMs per block, and ``M`` is exactly symmetric
-  PSD by construction.
-* warm starts (opt-in via the ``warm_start`` argument, *not* bitwise):
-  start from a previous solve's primal/dual point pushed back into the
-  interior; see :class:`WarmStart`.
+Warm starts (opt-in via the ``warm_start`` argument, *not* bitwise)
+start from a previous solve's primal/dual point pushed back into the
+interior; see :class:`WarmStart`.
 """
 
 from __future__ import annotations
@@ -43,7 +35,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 from scipy.linalg import lapack as _lapack
 
 from repro.resilience.faults import fault_point, fired
@@ -59,9 +50,6 @@ from repro.sdp.trace import (
 from repro.telemetry import get_telemetry
 
 logger = logging.getLogger(__name__)
-
-#: accepted values for :attr:`InteriorPointOptions.schur_mode`
-SCHUR_MODES = ("gemm", "structured")
 
 
 @dataclass
@@ -86,17 +74,6 @@ class InteriorPointOptions:
     #: recent window is kept; recording is always on — it is noise-level
     #: next to the per-iteration dense factorizations)
     trace_capacity: int = DEFAULT_TRACE_CAPACITY
-    #: use raw LAPACK kernels, per-iteration factorization reuse and the
-    #: single-GEMM Schur assembly.  Bitwise result-identical to the
-    #: legacy scipy-wrapper path (``False``), which is kept as the
-    #: benchmark reference and regression oracle.
-    fast_kernels: bool = True
-    #: Schur assembly strategy under ``fast_kernels``: ``"gemm"``
-    #: (default; bitwise-identical to the legacy loop) or
-    #: ``"structured"`` (factored congruence ``M = Q Q^T``; exactly
-    #: symmetric but *not* bitwise — opt-in).  Ignored when
-    #: ``fast_kernels`` is off.
-    schur_mode: str = "gemm"
     #: interior push applied to a warm-start point, as a fraction of the
     #: cold-start scales ``xi``/``eta``: ``X0 = X_prev + push*xi*I``.
     #: Small values trust the previous iterate more (fewer iterations on
@@ -143,12 +120,12 @@ class WarmStart:
 
 # ----------------------------------------------------------------------
 # raw LAPACK kernels (bitwise-identical to the scipy wrappers they
-# replace — asserted by tests/test_perf_identity.py — minus the per-call
+# replace — asserted by tests/test_sdp_solver.py — minus the per-call
 # python overhead that dominates on SOS-sized blocks)
 # ----------------------------------------------------------------------
 def _chol_lower_or_none(M: np.ndarray) -> Optional[np.ndarray]:
     """Lower Cholesky factor, or ``None`` when ``M`` is not PD / not
-    finite (the legacy line search treated both as a zero step)."""
+    finite (the line search treats both as a zero step)."""
     if not np.all(np.isfinite(M)):
         return None
     c, info = _lapack.dpotrf(M, lower=1, clean=1)
@@ -168,13 +145,6 @@ def _potrf_upper(M: np.ndarray) -> np.ndarray:
 def _potrs_upper(c: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve with an upper factor from :func:`_potrf_upper`."""
     x, info = _lapack.dpotrs(c, B, lower=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpotrs failed (info={info})")
-    return x
-
-
-def _potrs_lower(c: np.ndarray, B: np.ndarray) -> np.ndarray:
-    x, info = _lapack.dpotrs(c, B, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotrs failed (info={info})")
     return x
@@ -212,16 +182,12 @@ def _schur_regularization(M: np.ndarray, m: int) -> float:
 
 
 class _BlockData:
-    """Per-block dense constraint tensors used by the Schur assembly.
+    """Per-block constraint data used by the Schur assembly.
 
-    Built once per solve from the (static) svec constraint rows; the
-    layouts below are what make the per-iteration assembly pure BLAS-3:
-
-    ``dense``
-        ``(m, n, n)`` stack of the constraint matrices ``A_i``.
-    ``dense_h``
-        ``(n, m*n)`` horizontal concatenation ``[A_1 | A_2 | ...]`` —
-        one GEMM ``X @ dense_h`` computes every ``X A_i`` product.
+    Built once per solve from the (static) svec constraint rows.
+    ``dense_h`` is the ``(n, m*n)`` horizontal concatenation
+    ``[A_1 | A_2 | ...]`` of the constraint matrices, so one GEMM
+    ``X @ dense_h`` computes every ``X A_i`` product.
     """
 
     def __init__(self, n: int, svec_rows: np.ndarray):
@@ -229,18 +195,16 @@ class _BlockData:
         self.svecs = svec_rows  # (m, s)
         m = svec_rows.shape[0]
         if m:
-            self.dense = smat_batch(svec_rows, n)
             self.dense_h = np.ascontiguousarray(
-                self.dense.transpose(1, 0, 2).reshape(n, m * n)
+                smat_batch(svec_rows, n).transpose(1, 0, 2).reshape(n, m * n)
             )
         else:
-            self.dense = np.zeros((0, n, n))
             self.dense_h = np.zeros((n, 0))
         self.norm = float(np.linalg.norm(svec_rows)) if m else 0.0
 
 
 # ----------------------------------------------------------------------
-# drivers
+# driver
 # ----------------------------------------------------------------------
 def solve_sdp(
     problem: SDPProblem,
@@ -269,7 +233,6 @@ def solve_sdp(
     bitwise guarantee must not pass a warm start.
     """
     opts = options or InteriorPointOptions()
-    _check_options(opts)
     tel = get_telemetry()
     with tel.span(
         "sdp.solve",
@@ -279,7 +242,12 @@ def solve_sdp(
         rung=rung,
     ) as span:
         if fired("sdp.nonconvergence"):
-            result = _injected_nonconvergence(opts, rung)
+            result = SDPResult(
+                status=SDPStatus.MAX_ITERATIONS,
+                iterations=opts.max_iterations,
+                message="injected non-convergence",
+                recovery_rung=rung,
+            )
             span.set_attr("status", result.status.value)
             return result
         reduced, info = problem.presolved()
@@ -298,12 +266,7 @@ def solve_sdp(
             # dense linear algebra can still throw outside the guarded
             # factorizations (e.g. eigvalsh non-convergence); classify it
             # as a numerical failure instead of leaking a traceback
-            tel.metrics.inc("sdp.status.exception")
-            result = SDPResult(
-                status=SDPStatus.NUMERICAL_ERROR,
-                message=f"solver exception: {type(exc).__name__}: {exc}",
-                convergence_class="ill_conditioned",
-            )
+            result = _exception_result(exc, tel)
         _finish_solve(problem, info, result, rung, tel)
         span.set_attrs(
             status=result.status.value,
@@ -314,120 +277,6 @@ def solve_sdp(
             convergence=result.convergence_class,
         )
     return result
-
-
-def solve_sdp_batch(
-    problems: Sequence[SDPProblem],
-    options: Optional[InteriorPointOptions] = None,
-    rung: str = "base",
-    warm_starts: Optional[Sequence[Optional[WarmStart]]] = None,
-) -> List[SDPResult]:
-    """Solve several independent SDPs as one lockstep block solve.
-
-    This is the structure-exploiting way to solve the block-diagonal
-    composition of ``problems`` (see
-    :func:`repro.sdp.problem.compose_block_diagonal`): because the lanes
-    share no blocks and no constraint rows, the joint Schur complement
-    is block-diagonal and each lane's central path is independent — so
-    the composed solve decomposes *exactly* into per-lane iterations,
-    which this driver advances round-robin.  Each lane performs the same
-    float operations in the same order as a standalone
-    :func:`solve_sdp` call, so per-lane results are **bitwise
-    identical** to serial solves; the win is shared Python/dispatch
-    overhead and a single traversal for telemetry.
-
-    ``warm_starts`` (optional, one entry per lane, ``None`` entries OK)
-    applies per-lane warm starts with the same semantics as
-    :func:`solve_sdp`.
-    """
-    opts = options or InteriorPointOptions()
-    _check_options(opts)
-    tel = get_telemetry()
-    n_lanes = len(problems)
-    warms: List[Optional[WarmStart]] = (
-        list(warm_starts) if warm_starts is not None else [None] * n_lanes
-    )
-    if len(warms) != n_lanes:
-        raise ValueError("warm_starts must have one entry per problem")
-    results: List[Optional[SDPResult]] = [None] * n_lanes
-    states: List[Optional[_IPMState]] = [None] * n_lanes
-    infos: List[Optional[PresolveInfo]] = [None] * n_lanes
-    with tel.span("sdp.solve_batch", n_lanes=n_lanes, rung=rung) as span:
-        for i, problem in enumerate(problems):
-            # per-lane setup mirrors the serial pre-loop path
-            if fired("sdp.nonconvergence"):
-                results[i] = _injected_nonconvergence(opts, rung)
-                continue
-            reduced, info = problem.presolved()
-            infos[i] = info
-            if info.inconsistent:
-                results[i] = SDPResult(
-                    status=SDPStatus.INCONSISTENT,
-                    message="equality constraints are inconsistent (presolve)",
-                    recovery_rung=rung,
-                )
-                continue
-            try:
-                fault_point("sdp.solve")
-                if reduced.n_constraints == 0:
-                    results[i] = _zero_constraint_result(reduced)
-                    continue
-                states[i] = _IPMState(
-                    reduced,
-                    opts,
-                    warm=_restrict_warm(problem, warms[i], info, opts, tel),
-                )
-            except (np.linalg.LinAlgError, FloatingPointError) as exc:
-                results[i] = _exception_result(exc, tel)
-        # lockstep rounds: every live lane advances one IPM iteration per
-        # round, in lane order, until all lanes terminate
-        live = [i for i in range(n_lanes) if states[i] is not None]
-        while live:
-            still_live = []
-            for i in live:
-                st = states[i]
-                try:
-                    st.step()
-                except (np.linalg.LinAlgError, FloatingPointError) as exc:
-                    results[i] = _exception_result(exc, tel)
-                    states[i] = None
-                    continue
-                if st.finished or st.iteration >= opts.max_iterations:
-                    results[i] = st.finalize()
-                    states[i] = None
-                else:
-                    still_live.append(i)
-            live = still_live
-        out: List[SDPResult] = []
-        for i, problem in enumerate(problems):
-            result = results[i]
-            assert result is not None
-            if infos[i] is not None and result.status is not SDPStatus.INCONSISTENT:
-                _finish_solve(problem, infos[i], result, rung, tel)
-            else:
-                result.recovery_rung = rung
-            out.append(result)
-        span.set_attrs(
-            statuses=",".join(r.status.value for r in out),
-            iterations=sum(r.iterations for r in out),
-        )
-    return out
-
-
-def _check_options(opts: InteriorPointOptions) -> None:
-    if opts.schur_mode not in SCHUR_MODES:
-        raise ValueError(
-            f"schur_mode must be one of {SCHUR_MODES}, got {opts.schur_mode!r}"
-        )
-
-
-def _injected_nonconvergence(opts: InteriorPointOptions, rung: str) -> SDPResult:
-    return SDPResult(
-        status=SDPStatus.MAX_ITERATIONS,
-        iterations=opts.max_iterations,
-        message="injected non-convergence",
-        recovery_rung=rung,
-    )
 
 
 def _exception_result(exc: BaseException, tel) -> SDPResult:
@@ -474,8 +323,8 @@ def _finish_solve(
     rung: str,
     tel,
 ) -> None:
-    """Shared post-solve bookkeeping: rung stamp, dual expansion back to
-    the original constraint indexing, and telemetry emission."""
+    """Post-solve bookkeeping: rung stamp, dual expansion back to the
+    original constraint indexing, and telemetry emission."""
     result.recovery_rung = rung
     if result.y is not None and info.dropped_rows:
         y_full = np.zeros(problem.n_constraints)
@@ -537,13 +386,8 @@ def _solve_reduced(
 # the iteration engine
 # ----------------------------------------------------------------------
 class _IPMState:
-    """One lane of the predictor-corrector iteration.
-
-    Both drivers advance lanes exclusively through :meth:`step`, so a
-    lane's float-operation sequence is identical whether it runs alone
-    (:func:`solve_sdp`) or interleaved with others
-    (:func:`solve_sdp_batch`) — the bitwise guarantee of the batched
-    tri-condition solve rests on exactly this.
+    """The state of one predictor-corrector solve, advanced by
+    :meth:`step`.
 
     The per-iteration work is split into named ``_phase`` methods so the
     sampling profiler attributes time to solver sub-phases instead of
@@ -709,37 +553,17 @@ class _IPMState:
 
     def _phase_z_factor(self, rec: dict) -> bool:
         """Factor the Z blocks and form ``Z^{-1}``; False on breakdown."""
-        opts = self.opts
         t0 = time.perf_counter()
         self.Zinv = []
-        self._ls_Z = None
-        structured = opts.fast_kernels and opts.schur_mode == "structured"
-        if structured:
-            ls_Z: List[Optional[np.ndarray]] = []
         failed = False
         for Zk in self.Z:
             try:
                 fault_point("sdp.ipm.z_cholesky")
-                if not opts.fast_kernels:
-                    cf = cho_factor(Zk)
-                elif structured:
-                    # one lower factor, shared by Zinv, the structured
-                    # Schur congruence and the line search
-                    L = _chol_lower_or_none(Zk)
-                    if L is None:
-                        raise np.linalg.LinAlgError("Z not positive definite")
-                else:
-                    cf = _potrf_upper(Zk)
+                cf = _potrf_upper(Zk)
             except np.linalg.LinAlgError:
                 failed = True
                 break
-            if not opts.fast_kernels:
-                self.Zinv.append(cho_solve(cf, np.eye(Zk.shape[0])))
-            elif structured:
-                ls_Z.append(L)
-                self.Zinv.append(_potrs_lower(L, np.eye(Zk.shape[0])))
-            else:
-                self.Zinv.append(_potrs_upper(cf, np.eye(Zk.shape[0])))
+            self.Zinv.append(_potrs_upper(cf, np.eye(Zk.shape[0])))
         rec["t_z_factor"] = time.perf_counter() - t0
         if failed:
             rec["z_cholesky_ok"] = False
@@ -747,56 +571,29 @@ class _IPMState:
                 SDPStatus.NUMERICAL_ERROR, "Z lost positive definiteness"
             )
             return False
-        if structured:
-            self._ls_Z = ls_Z
         return True
+
+    def _schur_block(self, k: int, blk: _BlockData) -> np.ndarray:
+        """Block ``k``'s contribution to the Schur complement: every
+        ``X A_i Z^{-1}`` product from two reshaped GEMMs (each slice
+        dispatches to the same dgemm as a per-constraint matmul)."""
+        n, m = blk.n, self.m
+        T = (self.X[k] @ blk.dense_h).reshape(n, m, n).transpose(1, 0, 2)
+        U = (np.ascontiguousarray(T).reshape(m * n, n) @ self.Zinv[k]).reshape(
+            m, n, n
+        )
+        U = 0.5 * (U + np.transpose(U, (0, 2, 1)))
+        return svec(U) @ blk.svecs.T
 
     def _phase_schur_assembly(self, rec: dict) -> Optional[np.ndarray]:
         """Assemble the Schur complement ``M_ij = tr(A_i X A_j Z^{-1})``."""
-        opts = self.opts
         t0 = time.perf_counter()
         m = self.m
         M = np.zeros((m, m))
-        structured = opts.fast_kernels and opts.schur_mode == "structured"
-        if structured:
-            self._ls_X = []
         for k, blk in enumerate(self.blocks):
             if blk.n == 0 or blk.svecs.size == 0:
-                if structured:
-                    self._ls_X.append(_chol_lower_or_none(self.X[k]))
                 continue
-            n = blk.n
-            if not opts.fast_kernels:
-                # legacy loop: per-block batched 3-tensor matmuls
-                U = self.X[k][None, :, :] @ blk.dense @ self.Zinv[k][None, :, :]
-                U = 0.5 * (U + np.transpose(U, (0, 2, 1)))
-                SU = svec(U)  # (m, s)
-                M += SU @ blk.svecs.T
-                continue
-            Rx = None
-            if structured:
-                Rx = _chol_lower_or_none(self.X[k])
-                self._ls_X.append(Rx)
-            if structured and Rx is not None and self._ls_Z is not None:
-                # exact congruence: M += Q Q^T with rows vec(L^{-1} A_i R)
-                Lz = self._ls_Z[k]
-                W_h = _solve_lower(Lz, blk.dense_h)  # (n, m*n)
-                W_v = np.ascontiguousarray(
-                    W_h.reshape(n, m, n).transpose(1, 0, 2)
-                ).reshape(m * n, n)
-                Qm = (W_v @ Rx).reshape(m, n * n)
-                M += Qm @ Qm.T
-                continue
-            # fast default: the legacy per-block computation collapsed
-            # into two reshaped GEMMs (bitwise-identical — the broadcast
-            # matmuls above dispatch to the same dgemm per slice)
-            T = (self.X[k] @ blk.dense_h).reshape(n, m, n).transpose(1, 0, 2)
-            U = (np.ascontiguousarray(T).reshape(m * n, n) @ self.Zinv[k]).reshape(
-                m, n, n
-            )
-            U = 0.5 * (U + np.transpose(U, (0, 2, 1)))
-            SU = svec(U)
-            M += SU @ blk.svecs.T
+            M += self._schur_block(k, blk)
         M = 0.5 * (M + M.T)
         abs_diag = np.abs(np.diag(M))
         max_diag = float(np.max(abs_diag)) if m else 0.0
@@ -806,9 +603,8 @@ class _IPMState:
         )
         rec["t_schur_assembly"] = time.perf_counter() - t0
         if not np.all(np.isfinite(M)):
-            # legacy behavior was a ValueError escaping the solver; a
-            # clean numerical-error verdict keeps the recovery ladder in
-            # play (see _schur_regularization)
+            # a clean numerical-error verdict keeps the recovery ladder
+            # in play (see _schur_regularization)
             rec["schur_cholesky_ok"] = False
             self._stop(
                 SDPStatus.NUMERICAL_ERROR, "Schur complement lost finiteness"
@@ -821,10 +617,7 @@ class _IPMState:
         t0 = time.perf_counter()
         jitter = _schur_regularization(M, self.m)
         try:
-            if self.opts.fast_kernels:
-                M_factor = _potrf_upper(M + jitter * np.eye(self.m))
-            else:
-                M_factor = cho_factor(M + jitter * np.eye(self.m))
+            M_factor = _potrf_upper(M + jitter * np.eye(self.m))
         except np.linalg.LinAlgError:
             M_factor = None
             rec["schur_cholesky_ok"] = False
@@ -833,9 +626,7 @@ class _IPMState:
 
     def _solve_M(self, M, M_factor, rhs_vec: np.ndarray) -> np.ndarray:
         if M_factor is not None:
-            if self.opts.fast_kernels:
-                return _potrs_upper(M_factor, rhs_vec)
-            return cho_solve(M_factor, rhs_vec)
+            return _potrs_upper(M_factor, rhs_vec)
         return np.linalg.lstsq(M, rhs_vec, rcond=None)[0]
 
     def _direction(
@@ -867,33 +658,18 @@ class _IPMState:
         return dX, dy, dZ
 
     # -- line search ----------------------------------------------------
-    def _max_step_legacy(
-        self, Mb: Sequence[np.ndarray], dMb: Sequence[np.ndarray]
-    ) -> float:
-        """Largest alpha with M + alpha dM still PSD (per-block minimum);
-        the reference scipy-wrapper path (``fast_kernels=False``)."""
-        alpha = np.inf
-        for Mk, dMk in zip(Mb, dMb):
-            if not np.all(np.isfinite(dMk)):
-                return 0.0
-            try:
-                L = cholesky(Mk, lower=True)
-            except (np.linalg.LinAlgError, ValueError):
-                return 0.0
-            W = solve_triangular(L, dMk, lower=True)
-            W = solve_triangular(L, W.T, lower=True)
-            lam_min = float(np.linalg.eigvalsh(sym(W))[0])
-            if lam_min < 0:
-                alpha = min(alpha, -1.0 / lam_min)
-        return float(alpha)
+    def _max_step(self, which: str, dMb: Sequence[np.ndarray]) -> float:
+        """Largest alpha with ``M + alpha dM`` still PSD (per-block
+        minimum), where ``M`` is the current X (``which == "X"``) or Z.
 
-    @staticmethod
-    def _max_step_factored(
-        factors: Sequence[Optional[np.ndarray]], dMb: Sequence[np.ndarray]
-    ) -> float:
-        """Fast-kernel line search against precomputed lower factors
-        (``None`` factor == failed Cholesky == zero step, exactly the
-        legacy semantics)."""
+        X and Z are factored once per iteration and the factors shared
+        by both line-search calls; a ``None`` factor (failed Cholesky)
+        means a zero step."""
+        if self._ls_X is None:
+            self._ls_X = [_chol_lower_or_none(Xk) for Xk in self.X]
+        if self._ls_Z is None:
+            self._ls_Z = [_chol_lower_or_none(Zk) for Zk in self.Z]
+        factors = self._ls_X if which == "X" else self._ls_Z
         alpha = np.inf
         for L, dMk in zip(factors, dMb):
             if not np.all(np.isfinite(dMk)):
@@ -906,28 +682,6 @@ class _IPMState:
             if lam_min < 0:
                 alpha = min(alpha, -1.0 / lam_min)
         return float(alpha)
-
-    def _line_search_factors(self) -> None:
-        """One Cholesky of X and Z per iteration, shared by both
-        line-search calls (the iterates do not change in between — the
-        legacy path factored them twice with identical results)."""
-        if self._ls_X is None:
-            self._ls_X = [_chol_lower_or_none(Xk) for Xk in self.X]
-        if self._ls_Z is None:
-            self._ls_Z = [_chol_lower_or_none(Zk) for Zk in self.Z]
-
-    def _max_step(
-        self,
-        which: str,
-        Mb: Sequence[np.ndarray],
-        dMb: Sequence[np.ndarray],
-    ) -> float:
-        if not self.opts.fast_kernels:
-            return self._max_step_legacy(Mb, dMb)
-        self._line_search_factors()
-        factors = self._ls_X if which == "X" else self._ls_Z
-        assert factors is not None
-        return self._max_step_factored(factors, dMb)
 
     # -- one iteration --------------------------------------------------
     def step(self) -> None:
@@ -978,12 +732,8 @@ class _IPMState:
                 )
                 return
             t_ls = time.perf_counter()
-            ap_aff = min(
-                1.0, opts.step_fraction * self._max_step("X", self.X, dX_aff)
-            )
-            ad_aff = min(
-                1.0, opts.step_fraction * self._max_step("Z", self.Z, dZ_aff)
-            )
+            ap_aff = min(1.0, opts.step_fraction * self._max_step("X", dX_aff))
+            ad_aff = min(1.0, opts.step_fraction * self._max_step("Z", dZ_aff))
             rec["t_line_search"] = time.perf_counter() - t_ls
             gap_now = self._inner(self.X, self.Z)
             gap_aff = self._inner(
@@ -1009,8 +759,8 @@ class _IPMState:
                 )
                 return
             t_ls = time.perf_counter()
-            ap = min(1.0, opts.step_fraction * self._max_step("X", self.X, dX))
-            ad = min(1.0, opts.step_fraction * self._max_step("Z", self.Z, dZ))
+            ap = min(1.0, opts.step_fraction * self._max_step("X", dX))
+            ad = min(1.0, opts.step_fraction * self._max_step("Z", dZ))
             rec["t_line_search"] += time.perf_counter() - t_ls
             if fired("sdp.ipm.step"):
                 ap = ad = 0.0

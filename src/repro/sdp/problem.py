@@ -207,91 +207,3 @@ class PresolveInfo:
     dropped_rows: List[int]
     inconsistent: bool = False
     notes: str = field(default="")
-
-
-def compose_block_diagonal(
-    problems: Sequence[SDPProblem],
-) -> Tuple[SDPProblem, "BlockComposition"]:
-    """Stack independent SDPs into one block-diagonal problem.
-
-    The composed problem's block list is the concatenation of the input
-    problems' blocks and each constraint row touches only its own
-    problem's blocks (zero svecs elsewhere), so the composed constraint
-    matrix, Schur complement and feasible set are exactly block-diagonal
-    over the inputs — the structure :func:`repro.sdp.ipm.solve_sdp_batch`
-    exploits.  Zero-copy: objective blocks and constraint svecs are the
-    *same array objects* as in the inputs (one shared zero vector per
-    block position pads foreign rows), which is what makes lanes
-    recovered via :meth:`BlockComposition.subproblems` bitwise-equal to
-    the originals.
-    """
-    if not problems:
-        raise ValueError("compose_block_diagonal needs at least one problem")
-    dims: List[int] = []
-    block_slices: List[slice] = []
-    for p in problems:
-        block_slices.append(slice(len(dims), len(dims) + p.n_blocks))
-        dims.extend(p.block_dims)
-    composed = SDPProblem(dims)
-    composed.C = [c for p in problems for c in p.C]
-    zeros = [np.zeros(svec_dim(n)) for n in dims]
-    row_slices: List[slice] = []
-    r0 = 0
-    for gi, p in enumerate(problems):
-        bs = block_slices[gi]
-        for row, rhs in zip(p._A_rows, p._b):
-            full = list(zeros)
-            full[bs.start : bs.stop] = row
-            composed._A_rows.append(full)
-            composed._b.append(float(rhs))
-        row_slices.append(slice(r0, r0 + p.n_constraints))
-        r0 += p.n_constraints
-    return composed, BlockComposition(
-        block_slices=tuple(block_slices),
-        row_slices=tuple(row_slices),
-        group_dims=tuple(tuple(p.block_dims) for p in problems),
-    )
-
-
-@dataclass(frozen=True)
-class BlockComposition:
-    """Bookkeeping from :func:`compose_block_diagonal`: which composed
-    blocks / constraint rows belong to which input problem ("group")."""
-
-    block_slices: Tuple[slice, ...]
-    row_slices: Tuple[slice, ...]
-    group_dims: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.block_slices)
-
-    def subproblems(self, composed: SDPProblem) -> List[SDPProblem]:
-        """Recover the per-group problems from the composed one.
-
-        Because composition is zero-copy, each recovered problem's
-        objective blocks and constraint svecs are the same array objects
-        as the corresponding input problem's — solving them performs
-        bit-for-bit the arithmetic of solving the originals.
-        """
-        if composed.block_dims != tuple(
-            n for dims in self.group_dims for n in dims
-        ):
-            raise ValueError("composed problem does not match this composition")
-        out: List[SDPProblem] = []
-        for bs, rs, dims in zip(self.block_slices, self.row_slices, self.group_dims):
-            sub = SDPProblem(dims)
-            sub.C = list(composed.C[bs.start : bs.stop])
-            for i in range(rs.start, rs.stop):
-                sub._A_rows.append(composed._A_rows[i][bs.start : bs.stop])
-                sub._b.append(composed._b[i])
-            out.append(sub)
-        return out
-
-    def split_blocks(self, blocks: Sequence[np.ndarray]) -> List[List[np.ndarray]]:
-        """Split a composed per-block list (e.g. ``result.X``) by group."""
-        return [list(blocks[bs.start : bs.stop]) for bs in self.block_slices]
-
-    def split_dual(self, y: np.ndarray) -> List[np.ndarray]:
-        """Split a composed dual vector by group (original row order)."""
-        return [np.asarray(y)[rs.start : rs.stop] for rs in self.row_slices]

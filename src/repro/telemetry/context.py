@@ -1,8 +1,8 @@
 """Trace-context propagation across process pools.
 
 One run — one ``trace_id``.  When a harness fans work out to a
-``ProcessPoolExecutor`` (the verifier's per-condition pool, the bench
-``--jobs`` pool), the parent captures a :class:`TraceContext` — the
+``ProcessPoolExecutor`` (the bench driver's ``--jobs`` pool), the
+parent captures a :class:`TraceContext` — the
 run's ``trace_id``, the span the submission happened under, the run
 name, and a shard index — and ships it with the submission.  The worker
 activates a :func:`worker_session` that writes a JSONL *shard* file;

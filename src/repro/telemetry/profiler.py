@@ -27,12 +27,11 @@ Usage::
         result = SNBC(problem, config).run()
     prof.write("results/telemetry/C1-smoke")
 
-or pass ``--profile`` to ``benchmarks/run_bench_table1.py`` /
-``run_bench_perf.py``.
+or pass ``--profile`` to ``benchmarks/run_bench_table1.py``.
 
 A signal-based sampler (``signal.setitimer``) would also catch C-level
 stalls, but only works on the main thread and collides with the bench
-drivers' pool workers; the thread-based sampler works anywhere, which is
+driver's pool workers; the thread-based sampler works anywhere, which is
 why it is the default and only implementation here.
 """
 

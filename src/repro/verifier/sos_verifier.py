@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -11,10 +10,9 @@ import numpy as np
 
 from repro.dynamics import CCDS
 from repro.poly import Polynomial, lie_derivative
-from repro.resilience.faults import fault_point
 from repro.resilience.recovery import (
     RecoveryPolicy,
-    solve_sdp_batch_resilient,
+    solve_sdp_batch_resilient,  # noqa: F401 -- the ledger benchmark wraps this name here
     solve_sdp_resilient,
 )
 from repro.sdp import InteriorPointOptions, SDPProblem, SDPResult, WarmStart
@@ -29,38 +27,6 @@ from repro.soundness.certificate import (
     MultiplierCertificate,
 )
 from repro.telemetry import get_telemetry
-from repro.telemetry.context import (
-    TraceContext,
-    capture as capture_trace_context,
-    merge_shard,
-    worker_session,
-)
-from repro.telemetry.profiler import get_active_profiler
-
-
-def _solve_sdp_task(
-    sdp: SDPProblem,
-    options: Optional[InteriorPointOptions],
-    policy: Optional[RecoveryPolicy] = None,
-    trace_ctx: Optional["TraceContext"] = None,
-    shard_path: Optional[str] = None,
-    warm_start: Optional[WarmStart] = None,
-) -> SDPResult:
-    """Process-pool worker: solve one compiled SDP (module-level so it
-    pickles).  The recovery ladder runs inside the worker so a pool solve
-    degrades exactly like a serial one.
-
-    When the parent run is traced it ships a :class:`TraceContext` and a
-    shard path: the solve then runs inside a worker-side telemetry
-    session whose spans/metrics (and profiler samples, when the parent
-    is profiling) land in the shard file for the parent to merge.  With
-    ``trace_ctx=None`` (telemetry off) the pre-existing untraced path
-    runs unchanged.
-    """
-    if trace_ctx is None or shard_path is None:
-        return solve_sdp_resilient(sdp, options, policy, warm_start=warm_start)
-    with worker_session(trace_ctx, shard_path):
-        return solve_sdp_resilient(sdp, options, policy, warm_start=warm_start)
 
 #: paper numbering of the three sub-problem families (conditions (13)-(15))
 PAPER_CONDITION_NUMBERS = {"init": 13, "unsafe": 14, "lie": 15}
@@ -123,14 +89,6 @@ class VerifierConfig:
     #: candidate only the affine data is refreshed.  Result-identical to
     #: a fresh :class:`SOSProgram` build (see ``repro.sos.workspace``).
     workspace_cache: bool = True
-    #: solve the independent condition SDPs (13)/(14)/(15-endpoints) in a
-    #: process pool.  The serial path's skip/short-circuit semantics are
-    #: reconstructed afterwards so the :class:`VerificationResult` is
-    #: identical; falls back to the serial path when no pool is available.
-    parallel: bool = False
-    #: worker count for ``parallel`` (``None``: one per condition, capped
-    #: at the CPU count)
-    max_workers: Optional[int] = None
     #: SDP recovery ladder engaged when a condition solve ends in
     #: ``NUMERICAL_ERROR``/``MAX_ITERATIONS`` (see
     #: :mod:`repro.resilience.recovery`).  Healthy solves are untouched,
@@ -142,15 +100,6 @@ class VerifierConfig:
     #: Putinar identities over ℚ.  Capture is pure bookkeeping — it never
     #: changes verdicts or solver behavior.
     capture_certificate: bool = True
-    #: solve the three condition LMIs (13)/(14)/(15-endpoints) as one
-    #: block-diagonal batch (:func:`repro.sdp.problem.compose_block_diagonal`
-    #: + the lockstep driver :func:`repro.sdp.ipm.solve_sdp_batch`).
-    #: Per-condition solves are bitwise-identical to the serial path —
-    #: only Python/dispatch overhead is shared — and skip/short-circuit
-    #: semantics are reconstructed, so the :class:`VerificationResult`
-    #: matches the serial one field for field (wall-clock aside).
-    #: Ignored when ``parallel`` dispatches to a process pool.
-    batch_conditions: bool = False
     #: seed each condition's IPM from its previous successful solve
     #: (the learner moves the candidate only slightly between CEGIS
     #: iterations, so the old primal/dual point is near the new central
@@ -226,7 +175,7 @@ class VerificationResult:
 
 @dataclass
 class _PreparedCondition:
-    """One compiled condition SDP, ready to solve (serially or in a pool)."""
+    """One compiled condition SDP, ready to solve."""
 
     name: str
     base: str
@@ -611,13 +560,6 @@ class SOSVerifier:
             B = B * (1.0 / scale)
         t0 = time.perf_counter()
         cfg = self.config
-        if cfg.parallel:
-            result = self._verify_parallel(B, t0, scale)
-            if result is not None:
-                return result
-            # pool unavailable -> fall through to the serial path
-        elif cfg.batch_conditions:
-            return self._verify_batched(B, t0, scale)
         reports: List[ConditionReport] = []
         certs: List[ConditionCertificate] = []
         lambda_poly: Optional[Polynomial] = None
@@ -726,261 +668,6 @@ class SOSVerifier:
             controller_polys=list(self.controller_polys),
             sigma_star=list(self.sigma_star),
             conditions=certs,
-        )
-
-    def _lie_preps(self, B: Polynomial) -> List[_PreparedCondition]:
-        """Compile the Lie condition (15) at every inclusion-error
-        endpoint, per Psi cell."""
-        cfg = self.config
-        preps = []
-        endpoints = self._error_endpoints()
-        psi_cells = self.problem.psi.decompose()
-        for w in endpoints:
-            field_polys = self.problem.system.closed_loop(
-                self.controller_polys, error=list(w)
-            )
-            lfb = lie_derivative(B, field_polys)
-            ename = (
-                "lie" if len(endpoints) == 1 else f"lie[w={np.round(w, 6).tolist()}]"
-            )
-            for ci, cell in enumerate(psi_cells):
-                preps.append(
-                    self._prepare(
-                        _cell_name(ename, ci, len(psi_cells)),
-                        lfb, cell, cfg.eps_lie,
-                        free_lambda_times=B, endpoint=w,
-                        ws_key=_ws_key("lie", ci, len(psi_cells)),
-                    )
-                )
-        return preps
-
-    def _condition_preps(
-        self, B: Polynomial
-    ) -> Tuple[List[_PreparedCondition], int, int]:
-        """Compile every condition SDP (per cell, per endpoint) up front.
-
-        Returns the prep list plus the init/unsafe cell counts so
-        :meth:`_assemble` can slice it back into condition groups.
-        """
-        cfg = self.config
-        theta_cells = self.problem.theta.decompose()
-        xi_cells = self.problem.xi.decompose()
-        preps = [
-            self._prepare(
-                _cell_name("init", ci, len(theta_cells)), B, cell,
-                cfg.eps_init, ws_key=_ws_key("init", ci, len(theta_cells)),
-            )
-            for ci, cell in enumerate(theta_cells)
-        ]
-        preps.extend(
-            self._prepare(
-                _cell_name("unsafe", ci, len(xi_cells)), -1.0 * B, cell,
-                cfg.eps_unsafe, ws_key=_ws_key("unsafe", ci, len(xi_cells)),
-            )
-            for ci, cell in enumerate(xi_cells)
-        )
-        preps.extend(self._lie_preps(B))
-        return preps, len(theta_cells), len(xi_cells)
-
-    def _verify_parallel(
-        self, B: Polynomial, t0: float, scale: float
-    ) -> Optional[VerificationResult]:
-        """Solve all condition SDPs concurrently in a process pool.
-
-        Every condition is compiled and solved up front; the serial path's
-        skip/short-circuit semantics (unsafe skipped after an init failure,
-        the Lie loop stopping at the first failing endpoint) are then
-        reconstructed during assembly, so the returned
-        :class:`VerificationResult` matches the serial one field for field
-        (wall-clock timings aside).  Returns ``None`` when the pool cannot
-        be created or a worker dies — callers fall back to serial.
-        """
-        cfg = self.config
-        tel = get_telemetry()
-        preps, n_init, n_unsafe = self._condition_preps(B)
-
-        # trace propagation: when this run is traced, each submission
-        # carries a TraceContext and a shard file the worker's session
-        # writes; the shards are merged back below (also after a crash,
-        # so completed workers' spans survive a broken pool).  Untraced
-        # runs submit with ctx=None — the pre-PR worker path, unchanged.
-        profile_workers = get_active_profiler() is not None
-        shard_dir: Optional[str] = None
-        shards: List[Tuple[Optional[TraceContext], Optional[str]]] = []
-        if capture_trace_context() is not None:
-            import tempfile
-
-            shard_dir = tempfile.mkdtemp(prefix="repro-verify-shards-")
-        for i, p in enumerate(preps):
-            if shard_dir is None:
-                shards.append((None, None))
-            else:
-                shards.append((
-                    capture_trace_context(shard_index=i, profile=profile_workers),
-                    os.path.join(shard_dir, f"shard-{i}.jsonl"),
-                ))
-
-        def merge_worker_shards() -> None:
-            if shard_dir is None:
-                return
-            for _, shard_path in shards:
-                if shard_path is not None:
-                    merge_shard(tel, shard_path)
-            try:
-                os.rmdir(shard_dir)
-            except OSError:
-                pass
-
-        try:
-            import concurrent.futures
-            from concurrent.futures.process import BrokenProcessPool
-
-            max_workers = cfg.max_workers or min(len(preps), os.cpu_count() or 1)
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=max_workers
-            ) as pool:
-                futures = []
-                for i, (p, (ctx, shard_path)) in enumerate(zip(preps, shards)):
-                    tel.status_worker(i, state="submitted", task=p.name)
-                    futures.append(pool.submit(
-                        _solve_sdp_task, p.sdp, cfg.sdp_options, cfg.recovery,
-                        ctx, shard_path, self._warm_for(p.name),
-                    ))
-                fault_point("verifier.pool")
-                results = []
-                for i, f in enumerate(futures):
-                    results.append(f.result())
-                    tel.status_worker(i, state="done")
-        except BrokenProcessPool as exc:
-            # a worker died mid-solve (e.g. OOM-killed): classify, then
-            # degrade to the serial path — same result, just slower
-            tel.metrics.inc("verifier.pool.worker_crashes")
-            tel.metrics.inc("verifier.pool.fallbacks")
-            tel.event(
-                "verifier.worker_crash",
-                error=f"{type(exc).__name__}: {exc}",
-                n_conditions=len(preps),
-            )
-            merge_worker_shards()
-            return None
-        except Exception:
-            tel.metrics.inc("verifier.pool.fallbacks")
-            merge_worker_shards()
-            return None
-        merge_worker_shards()
-        tel.metrics.inc("verifier.pool.tasks", len(preps))
-        for p, res in zip(preps, results):
-            self._note_warm(p.name, res)
-        return self._assemble(preps, results, B, t0, scale, n_init, n_unsafe)
-
-    def _verify_batched(
-        self, B: Polynomial, t0: float, scale: float
-    ) -> VerificationResult:
-        """Solve all condition SDPs as one lockstep block batch.
-
-        The three LMIs (13)-(15) are independent, so their block-diagonal
-        composition decomposes exactly (see
-        :func:`repro.sdp.problem.compose_block_diagonal`); the lockstep
-        driver advances the lanes together, performing per lane the same
-        float operations as serial solves — the assembled
-        :class:`VerificationResult` is bitwise-identical to the serial
-        path's, with skip/short-circuit semantics reconstructed just like
-        the pool path.
-        """
-        cfg = self.config
-        preps, n_init, n_unsafe = self._condition_preps(B)
-        results = solve_sdp_batch_resilient(
-            [p.sdp for p in preps],
-            cfg.sdp_options,
-            cfg.recovery,
-            warm_starts=[self._warm_for(p.name) for p in preps],
-        )
-        for p, res in zip(preps, results):
-            self._note_warm(p.name, res)
-        return self._assemble(preps, results, B, t0, scale, n_init, n_unsafe)
-
-    def _assemble(
-        self,
-        preps: List[_PreparedCondition],
-        results: List[SDPResult],
-        B: Polynomial,
-        t0: float,
-        scale: float,
-        n_init: int = 1,
-        n_unsafe: int = 1,
-    ) -> VerificationResult:
-        """Turn eagerly-computed per-condition solves into the serial
-        path's :class:`VerificationResult`: finish conditions in serial
-        order and reconstruct the skip/short-circuit semantics (unsafe
-        skipped after an init failure, the Lie loop stopping at the first
-        failing endpoint/cell).  ``n_init``/``n_unsafe`` are the Theta/Xi
-        cell counts, slicing the flat prep list back into condition
-        groups.  Shared by the pool and batched paths."""
-        tel = get_telemetry()
-
-        def finish(prep: _PreparedCondition, res: SDPResult):
-            with tel.span(
-                "verifier.condition",
-                condition=prep.name,
-                paper_condition=PAPER_CONDITION_NUMBERS.get(prep.base),
-            ) as span:
-                return self._finish(prep, res, t0, span=span)
-
-        reports: List[ConditionReport] = []
-        certs: List[ConditionCertificate] = []
-        lambda_poly: Optional[Polynomial] = None
-        lambda_polys: dict = {}
-        for prep, res in zip(preps[:n_init], results[:n_init]):
-            rep_init, _, cert_i = finish(prep, res)
-            reports.append(rep_init)
-            if cert_i is not None:
-                certs.append(cert_i)
-            if not rep_init.ok:
-                break
-        if all(r.ok for r in reports):
-            for prep, res in zip(
-                preps[n_init:n_init + n_unsafe],
-                results[n_init:n_init + n_unsafe],
-            ):
-                rep_u, _, cert_u = finish(prep, res)
-                reports.append(rep_u)
-                if cert_u is not None:
-                    certs.append(cert_u)
-                if not rep_u.ok:
-                    break
-        else:
-            reports.append(
-                ConditionReport("unsafe", False, False, 0.0, "skipped (init failed)")
-            )
-        if all(r.ok for r in reports):
-            for prep, res in zip(
-                preps[n_init + n_unsafe:], results[n_init + n_unsafe:]
-            ):
-                rep_l, lam, cert_l = finish(prep, res)
-                reports.append(rep_l)
-                if cert_l is not None:
-                    certs.append(cert_l)
-                if lam is not None:
-                    lambda_polys[prep.name] = lam
-                    if lambda_poly is None:
-                        lambda_poly = lam
-                if not rep_l.ok:
-                    break
-        else:
-            reports.append(
-                ConditionReport("lie", False, False, 0.0, "skipped (earlier failure)")
-            )
-        ok = all(r.ok for r in reports)
-        tel.metrics.inc("verifier.verifications")
-        if not ok:
-            tel.metrics.inc("verifier.rejections")
-        return VerificationResult(
-            ok=ok,
-            conditions=reports,
-            elapsed_seconds=time.perf_counter() - t0,
-            lambda_poly=lambda_poly,
-            lambda_polys=lambda_polys or None,
-            certificate=self._bundle(B, scale, certs) if ok else None,
         )
 
     def _error_endpoints(self) -> List[Tuple[float, ...]]:

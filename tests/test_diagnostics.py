@@ -17,7 +17,7 @@ from repro.diagnostics import (
     write_audit,
     write_bench,
 )
-from repro.diagnostics.regress import compare_benches, compare_perf_benches
+from repro.diagnostics.regress import compare_benches
 from repro.diagnostics.regress import main as regress_main
 from repro.diagnostics.report import main as report_main
 from repro.diagnostics.report import resolve_run
@@ -329,73 +329,13 @@ def test_regress_cli_exit_codes(tmp_path, capsys):
     assert regress_main([old, garbage]) == 2
     assert regress_main([str(tmp_path / "missing.json"), old]) == 2
 
-
-def _perf_row(seconds=1.0, identical=True, correctness=None):
-    return {
-        "seconds": seconds,
-        "reference_seconds": seconds * 1.5,
-        "speedup": 1.5,
-        "identical": identical,
-        "correctness": correctness,
-    }
-
-
-def test_compare_perf_benches_pure():
-    corr = {"outcome": "success", "iterations": 2}
-    old = {"benches": {"e2e_c1": _perf_row(correctness=dict(corr)),
-                       "train_epoch": _perf_row()}}
-    same = {"benches": {"e2e_c1": _perf_row(correctness=dict(corr)),
-                        "train_epoch": _perf_row()}}
-    assert compare_perf_benches(old, same) == {"regressions": [],
-                                               "warnings": []}
-
-    # timing is loose and ignorable; identity is hard either way
-    slow = {"benches": {"e2e_c1": _perf_row(5.0, correctness=dict(corr)),
-                        "train_epoch": _perf_row()}}
-    out = compare_perf_benches(old, slow, max_slowdown=3.0)
-    assert any("5.000s" in r for r in out["regressions"])
-    assert compare_perf_benches(old, slow, ignore_timings=True) == {
-        "regressions": [], "warnings": []
-    }
-    diverged = {"benches": {"e2e_c1": _perf_row(identical=False,
-                                                correctness=dict(corr)),
-                            "train_epoch": _perf_row()}}
-    out = compare_perf_benches(old, diverged, ignore_timings=True)
-    assert any("diverged" in r for r in out["regressions"])
-
-    failed = {"benches": {
-        "e2e_c1": _perf_row(correctness={"outcome": "failure",
-                                         "iterations": 2}),
-        "train_epoch": _perf_row(),
-    }}
-    out = compare_perf_benches(old, failed, ignore_timings=True)
-    assert any("outcome regressed" in r for r in out["regressions"])
-
-    missing = {"benches": {"e2e_c1": _perf_row(correctness=dict(corr))}}
-    assert compare_perf_benches(old, missing)["regressions"]
-    out = compare_perf_benches(old, missing, allow_missing=True)
-    assert out["regressions"] == [] and out["warnings"]
-
-
-def test_regress_cli_perf_kind(tmp_path, capsys):
-    from repro.diagnostics.perfbench import perf_document, write_perf
-
-    perf = str(tmp_path / "perf.json")
-    write_perf(perf, perf_document({"train_epoch": _perf_row()}))
-    assert regress_main([perf, perf]) == 0
-    assert "no regressions" in capsys.readouterr().out
-
-    diverged = str(tmp_path / "diverged.json")
-    write_perf(
-        diverged, perf_document({"train_epoch": _perf_row(identical=False)})
-    )
-    assert regress_main([perf, diverged]) == 1
-    assert "diverged" in capsys.readouterr().out
-
     # mixing document kinds is a usage error, not a comparison
-    table = str(tmp_path / "table.json")
-    write_bench(table, {"C1": _bench_row(t=1.0)}, "smoke")
-    assert regress_main([perf, table]) == 2
+    from repro.diagnostics.servicebench import service_doc, write_service_bench
+
+    service = str(tmp_path / "service.json")
+    write_service_bench(service, service_doc("smoke", {}, {}, {}, {}, {}))
+    assert regress_main([old, service]) == 2
+    assert regress_main([service, old]) == 2
 
 
 # ----------------------------------------------------------------------

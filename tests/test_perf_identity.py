@@ -2,8 +2,7 @@
 
 Every default-on optimization (SOS workspace cache, tape replay,
 compile-field memoization, incremental field values, vectorized design
-matrix) must be *bitwise* identical to its reference path; parallel
-verification must reproduce the serial :class:`VerificationResult`.
+matrix) must be *bitwise* identical to its reference path.
 """
 
 import math
@@ -12,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tape, Tensor
-from repro.cegis.counterexamples import _ViolationFn
 from repro.controllers.inclusion import _design_matrix
 from repro.dynamics import CCDS, ControlAffineSystem
 from repro.learner import BarrierLearner, LearnerConfig, TrainingData
@@ -117,39 +115,6 @@ def test_workspace_reused_across_verifies():
     assert v._workspaces.keys() == {"init", "unsafe", "lie"}
     for key, ws in workspaces_after_first.items():
         assert v._workspaces[key] is ws  # same cached object, only affine refresh
-
-
-# ----------------------------------------------------------------------
-# parallel verification
-# ----------------------------------------------------------------------
-def test_parallel_verify_equals_serial():
-    prob = decay_problem()
-    serial = SOSVerifier(prob, [], config=VerifierConfig(parallel=False))
-    par = SOSVerifier(
-        prob, [], config=VerifierConfig(parallel=True, max_workers=2)
-    )
-    for candidate in (radial_barrier(2), -1.0 * radial_barrier(2)):
-        assert_results_identical(par.verify(candidate), serial.verify(candidate))
-
-
-def test_parallel_verify_c1_smoke_equals_serial():
-    from repro.benchmarks import get_benchmark
-    from repro.cegis import SNBC, SNBCConfig
-
-    def run(parallel):
-        spec = get_benchmark("C1")
-        snbc = SNBC(
-            spec.make_problem(),
-            controller=spec.make_controller(),
-            config=SNBCConfig(parallel_verify=parallel),
-        )
-        return snbc.run()
-
-    r_ser, r_par = run(False), run(True)
-    assert r_ser.success == r_par.success
-    assert r_ser.iterations == r_par.iterations
-    assert r_ser.barrier.coeffs == r_par.barrier.coeffs
-    assert_results_identical(r_ser.verification, r_par.verification)
 
 
 # ----------------------------------------------------------------------
@@ -272,21 +237,8 @@ def test_design_matrix_matches_reference_loop():
         assert np.array_equal(_design_matrix(pts, d), reference(pts, d))
 
 
-def test_compiled_violation_kernels_match_reference():
-    p1 = Polynomial(2, {(0, 0): 1.0, (1, 0): 2.0, (1, 1): -0.5, (0, 2): 1.0})
-    p2 = Polynomial(2, {(0, 0): 0.3, (2, 0): -1.0, (0, 1): 0.7})
-    q = Polynomial(2, {(1, 0): 1.0, (0, 2): -0.2})
-    pts = np.random.default_rng(3).normal(size=(64, 2))
-    ref = _ViolationFn([p1, p2], [(0.4, q)])
-    fast = _ViolationFn([p1, p2], [(0.4, q)], compiled=True)
-    np.testing.assert_allclose(ref.value(pts), fast.value(pts), rtol=1e-12)
-    np.testing.assert_allclose(
-        ref.gradient(pts), fast.gradient(pts), rtol=1e-12, atol=1e-14
-    )
-
-
 # ----------------------------------------------------------------------
-# batched tri-condition solves + warm starts (solver fast path, PR 8)
+# IPM warm starts
 # ----------------------------------------------------------------------
 def _condition_iterations(result):
     return sum(
@@ -296,41 +248,7 @@ def _condition_iterations(result):
     )
 
 
-def assert_certificates_identical(a, b):
-    """Bitwise equality of two CertificateBundles."""
-    if a is None or b is None:
-        assert a is b
-        return
-    assert a.barrier.coeffs == b.barrier.coeffs
-    assert a.barrier_scale == b.barrier_scale
-    assert len(a.conditions) == len(b.conditions)
-    for ca, cb in zip(a.conditions, b.conditions):
-        assert ca.name == cb.name
-        assert ca.margin == cb.margin
-        assert np.array_equal(ca.slack_gram, cb.slack_gram)
-        assert len(ca.multipliers) == len(cb.multipliers)
-        for ma, mb in zip(ca.multipliers, cb.multipliers):
-            assert np.array_equal(ma.gram, mb.gram)
-
-
-def test_batched_verify_equals_serial():
-    prob = decay_problem()
-    serial = SOSVerifier(
-        prob, [], config=VerifierConfig(batch_conditions=False)
-    )
-    batched = SOSVerifier(
-        prob, [], config=VerifierConfig(batch_conditions=True)
-    )
-    # passing and failing candidates: the batched path must reproduce the
-    # serial skip/short-circuit semantics bitwise
-    for candidate in (radial_barrier(2), -1.0 * radial_barrier(2)):
-        ra = batched.verify(candidate)
-        rb = serial.verify(candidate)
-        assert_results_identical(ra, rb)
-        assert_certificates_identical(ra.certificate, rb.certificate)
-
-
-def test_batched_and_warm_verify_c1_candidate():
+def test_warm_verify_c1_candidate():
     from repro.benchmarks import get_benchmark
     from repro.cegis import SNBC
 
@@ -342,15 +260,8 @@ def test_batched_and_warm_verify_c1_candidate():
     h = result.inclusion.polynomials
     sigma = result.inclusion.sigma_star
 
-    serial = SOSVerifier(problem, h, sigma, config=VerifierConfig())
-    batched = SOSVerifier(
-        problem, h, sigma, config=VerifierConfig(batch_conditions=True)
-    )
-    rs = serial.verify(B)
-    rb = batched.verify(B)
+    rs = SOSVerifier(problem, h, sigma, config=VerifierConfig()).verify(B)
     assert rs.ok
-    assert_results_identical(rb, rs)
-    assert_certificates_identical(rb.certificate, rs.certificate)
 
     # warm starting is NOT bitwise (different central path) but must be
     # verdict-equivalent and must not cost extra IPM iterations

@@ -1,7 +1,13 @@
-"""Tests for the interior-point SDP solver on problems with known answers."""
+"""Tests for the interior-point SDP solver on problems with known answers.
+
+Also home of the solver's reference oracle: the textbook IPM kernels
+over scipy's wrappers, which the raw-LAPACK/GEMM kernels must match bit
+for bit.
+"""
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from repro.sdp import (
     InteriorPointOptions,
@@ -9,6 +15,8 @@ from repro.sdp import (
     SDPStatus,
     solve_sdp,
 )
+from repro.sdp import ipm
+from repro.sdp.svec import smat_batch, svec, sym
 
 
 def unit(n, i, j):
@@ -183,8 +191,61 @@ def test_constraint_matrix_and_split():
 
 
 # ----------------------------------------------------------------------
-# solver fast path: kernels, batching, warm starts (PR 8)
+# solver kernels vs the reference oracle, warm starts
 # ----------------------------------------------------------------------
+class _ReferenceIPMState(ipm._IPMState):
+    """The IPM loop over scipy's Cholesky wrappers and per-block
+    batched matmuls: the kernels the raw-LAPACK/GEMM path replaced, kept
+    here as the oracle that path must match bit for bit."""
+
+    def _phase_z_factor(self, rec):
+        self.Zinv = []
+        for Zk in self.Z:
+            try:
+                cf = cho_factor(Zk)
+            except np.linalg.LinAlgError:
+                rec["z_cholesky_ok"] = False
+                self._stop(SDPStatus.NUMERICAL_ERROR, "Z lost positive definiteness")
+                return False
+            self.Zinv.append(cho_solve(cf, np.eye(Zk.shape[0])))
+        return True
+
+    def _schur_block(self, k, blk):
+        dense = smat_batch(blk.svecs, blk.n)
+        U = self.X[k][None, :, :] @ dense @ self.Zinv[k][None, :, :]
+        U = 0.5 * (U + np.transpose(U, (0, 2, 1)))
+        return svec(U) @ blk.svecs.T
+
+    def _phase_schur_factor(self, M, rec):
+        jitter = ipm._schur_regularization(M, self.m)
+        try:
+            return cho_factor(M + jitter * np.eye(self.m))
+        except np.linalg.LinAlgError:
+            rec["schur_cholesky_ok"] = False
+            return None
+
+    def _solve_M(self, M, M_factor, rhs_vec):
+        if M_factor is not None:
+            return cho_solve(M_factor, rhs_vec)
+        return np.linalg.lstsq(M, rhs_vec, rcond=None)[0]
+
+    def _max_step(self, which, dMb):
+        alpha = np.inf
+        for Mk, dMk in zip(self.X if which == "X" else self.Z, dMb):
+            if not np.all(np.isfinite(dMk)):
+                return 0.0
+            try:
+                L = cholesky(Mk, lower=True)
+            except (np.linalg.LinAlgError, ValueError):
+                return 0.0
+            W = solve_triangular(L, dMk, lower=True)
+            W = solve_triangular(L, W.T, lower=True)
+            lam_min = float(np.linalg.eigvalsh(sym(W))[0])
+            if lam_min < 0:
+                alpha = min(alpha, -1.0 / lam_min)
+        return float(alpha)
+
+
 def _random_feasible_sdp(n, m, seed):
     """Strictly feasible random SDP built from a known interior pair."""
     rng = np.random.default_rng(seed)
@@ -233,65 +294,13 @@ def assert_sdp_results_identical(a, b):
 
 
 @pytest.mark.parametrize("n,m,seed", [(3, 4, 0), (6, 9, 1), (8, 12, 2)])
-def test_fast_kernels_bitwise_identical_to_legacy(n, m, seed):
+def test_fast_kernels_bitwise_identical_to_legacy(n, m, seed, monkeypatch):
     prob = _random_feasible_sdp(n, m, seed)
-    fast = solve_sdp(prob, InteriorPointOptions(fast_kernels=True))
-    legacy = solve_sdp(prob, InteriorPointOptions(fast_kernels=False))
+    fast = solve_sdp(prob)
+    monkeypatch.setattr(ipm, "_IPMState", _ReferenceIPMState)
+    legacy = solve_sdp(prob)
     assert fast.status == SDPStatus.OPTIMAL
     assert_sdp_results_identical(fast, legacy)
-
-
-def test_structured_schur_mode_agrees_with_gemm():
-    prob = _random_feasible_sdp(6, 9, 4)
-    gemm = solve_sdp(prob, InteriorPointOptions(schur_mode="gemm"))
-    structured = solve_sdp(prob, InteriorPointOptions(schur_mode="structured"))
-    assert structured.status == SDPStatus.OPTIMAL
-    # structured congruence reorders float ops: close, not bitwise
-    assert structured.primal_objective == pytest.approx(
-        gemm.primal_objective, rel=1e-6, abs=1e-6
-    )
-    assert structured.dual_objective == pytest.approx(
-        gemm.dual_objective, rel=1e-6, abs=1e-6
-    )
-
-
-def test_invalid_schur_mode_rejected():
-    with pytest.raises(ValueError):
-        solve_sdp(
-            _random_feasible_sdp(3, 4, 0),
-            InteriorPointOptions(schur_mode="bogus"),
-        )
-
-
-def test_batch_solve_bitwise_identical_to_serial():
-    from repro.sdp import solve_sdp_batch
-
-    probs = [
-        _random_feasible_sdp(3, 4, 10),
-        _random_feasible_sdp(6, 9, 11),
-        _random_feasible_sdp(4, 6, 12),
-    ]
-    serial = [solve_sdp(p) for p in probs]
-    batched = solve_sdp_batch(probs)
-    assert len(batched) == len(serial)
-    for s, b in zip(serial, batched):
-        assert_sdp_results_identical(s, b)
-
-
-def test_batch_solve_handles_heterogeneous_lanes():
-    from repro.sdp import solve_sdp_batch
-
-    inconsistent = SDPProblem([2])
-    inconsistent.add_constraint([unit(2, 0, 0)], 1.0)
-    inconsistent.add_constraint([unit(2, 0, 0)], 2.0)
-    empty = SDPProblem([3])
-    probs = [_random_feasible_sdp(4, 5, 13), inconsistent, empty]
-    batched = solve_sdp_batch(probs)
-    serial = [solve_sdp(p) for p in probs]
-    for s, b in zip(serial, batched):
-        assert_sdp_results_identical(s, b)
-    assert batched[1].status == SDPStatus.INCONSISTENT
-    assert batched[2].status == SDPStatus.OPTIMAL
 
 
 def test_warm_start_reduces_iterations():
@@ -359,44 +368,3 @@ def test_smat_batch_matches_scalar_smat():
     assert out.shape == (4, n, n)
     for k, A in enumerate(mats):
         assert np.array_equal(out[k], smat(vecs[k], n))
-
-
-def test_compose_block_diagonal_round_trip():
-    from repro.sdp import compose_block_diagonal
-
-    probs = [
-        _random_feasible_sdp(3, 4, 30),
-        _random_feasible_sdp(4, 6, 31),
-    ]
-    composed, comp = compose_block_diagonal(probs)
-    assert comp.n_groups == 2
-    assert composed.block_dims == (3, 4)
-    assert composed.n_constraints == 10
-    subs = comp.subproblems(composed)
-    for orig, sub in zip(probs, subs):
-        assert np.array_equal(
-            orig.constraint_matrix(), sub.constraint_matrix()
-        )
-        assert np.array_equal(orig.rhs(), sub.rhs())
-        assert_sdp_results_identical(solve_sdp(orig), solve_sdp(sub))
-
-
-def test_composed_solve_matches_independent_solves():
-    from repro.sdp import compose_block_diagonal
-
-    probs = [
-        _random_feasible_sdp(3, 4, 40),
-        _random_feasible_sdp(4, 5, 41),
-    ]
-    composed, comp = compose_block_diagonal(probs)
-    res = solve_sdp(composed)
-    assert res.status == SDPStatus.OPTIMAL
-    singles = [solve_sdp(p) for p in probs]
-    # block-diagonal coupling only via the barrier: objectives agree to
-    # solver tolerance, not bitwise
-    total = sum(s.primal_objective for s in singles)
-    assert res.primal_objective == pytest.approx(
-        total, rel=1e-5, abs=1e-5 * (1 + abs(total))
-    )
-    for sl, s in zip(comp.split_blocks(res.X), singles):
-        assert len(sl) == len(s.X)

@@ -1,11 +1,11 @@
 """Tests for cross-process trace propagation (repro.telemetry.context).
 
 Covers the capture → worker_session → merge_shard protocol in-process
-(deterministic, no pool), plus one real ``ProcessPoolExecutor`` round
-trip through the verifier's ``parallel=True`` path — the acceptance
-shape: a single merged trace where every worker span carries the run's
-``trace_id`` and resolves to a parent span in the parent process, and
-whose self-time totals equal the sum of the per-process traces'.
+(deterministic, no pool): a single merged trace where every worker span
+carries the run's ``trace_id`` and resolves to a parent span in the
+parent process, and whose self-time totals equal the sum of the
+per-process traces'.  The bench driver's ``--jobs`` pool exercises the
+same protocol across real processes.
 """
 
 import json
@@ -13,9 +13,6 @@ import os
 
 import pytest
 
-from repro.dynamics import CCDS, ControlAffineSystem
-from repro.poly import Polynomial
-from repro.sets import Box
 from repro.telemetry import session
 from repro.telemetry.context import (
     TraceContext,
@@ -26,7 +23,6 @@ from repro.telemetry.context import (
     worker_session,
 )
 from repro.telemetry.report import span_self_times
-from repro.verifier import SOSVerifier, VerifierConfig
 
 
 def read_trace(path):
@@ -182,79 +178,3 @@ def test_merge_events_requires_no_anchor(tmp_path):
         ])
         assert stats["spans"] == 1
         assert stats["clock_skew_s"] == 0.0
-
-
-# ----------------------------------------------------------------------
-# the real thing: verifier parallel=True through a process pool
-# ----------------------------------------------------------------------
-def _decay_problem(n=2):
-    xs = Polynomial.variables(n)
-    sys_n = ControlAffineSystem.autonomous([-1.0 * x for x in xs])
-    return CCDS(
-        sys_n,
-        theta=Box.cube(n, -0.5, 0.5, name="theta"),
-        psi=Box.cube(n, -2.0, 2.0, name="psi"),
-        xi=Box.cube(n, 1.5, 2.0, name="xi"),
-    )
-
-
-def _radial_barrier(n, c=1.0, scale=0.5):
-    B = Polynomial.constant(n, c)
-    for i in range(n):
-        B = B - scale * Polynomial.variable(n, i) ** 2
-    return B
-
-
-def test_parallel_verify_produces_single_merged_trace(tmp_path):
-    trace = str(tmp_path / "parallel.jsonl")
-    cfg = VerifierConfig(parallel=True, max_workers=2)
-    with session(trace, name="verify-parallel") as tel:
-        run_trace_id = tel.trace_id
-        result = SOSVerifier(_decay_problem(), [], config=cfg).verify(
-            _radial_barrier(2)
-        )
-    assert result.ok
-
-    events = read_trace(trace)
-    spans = [e for e in events if e.get("type") == "span"]
-    by_id = {e["span_id"]: e for e in spans}
-    assert len(by_id) == len(spans)
-    worker_spans = [e for e in spans if e.get("shard") is not None]
-    # 3 conditions (init/unsafe/lie) → at least one span from each shard
-    assert {e["shard"] for e in worker_spans} == {0, 1, 2}
-    assert any(e["name"] == "sdp.solve" for e in worker_spans)
-    for w in worker_spans:
-        assert w["trace_id"] == run_trace_id
-        # every worker span resolves, transitively, to a parent-process
-        # span of this run — one unified tree
-        cur = w
-        for _ in range(100):
-            parent = cur.get("parent_id")
-            if parent is None:
-                break
-            assert parent in by_id, (
-                f"span {w['name']} dangles at parent_id={parent}"
-            )
-            cur = by_id[parent]
-        assert cur.get("shard") is None or cur.get("parent_id") is None
-    # worker pids differ from the parent's (it really crossed a process)
-    assert any(e.get("pid") != os.getpid() for e in worker_spans)
-    # worker metrics folded: the per-solve counters exist parent-side
-    summary = next(e for e in events if e.get("type") == "metrics")["summary"]
-    assert summary["counters"].get("verifier.pool.tasks", 0) == 3
-    # no shard temp files survive the merge
-    leftovers = [p for p in os.listdir(tmp_path) if "shard" in p]
-    assert leftovers == []
-
-
-def test_parallel_verify_without_telemetry_unchanged():
-    # telemetry off → capture() is None → the pre-existing worker path
-    cfg = VerifierConfig(parallel=True, max_workers=2)
-    result = SOSVerifier(_decay_problem(), [], config=cfg).verify(
-        _radial_barrier(2)
-    )
-    assert result.ok
-    serial = SOSVerifier(_decay_problem(), []).verify(_radial_barrier(2))
-    assert [c.feasible for c in result.conditions] == [
-        c.feasible for c in serial.conditions
-    ]

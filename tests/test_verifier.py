@@ -6,6 +6,7 @@ import pytest
 from repro.dynamics import CCDS, ControlAffineSystem
 from repro.poly import Polynomial
 from repro.sets import Ball, Box
+from repro.telemetry import InMemorySink, configure, disable
 from repro.verifier import SOSVerifier, VerifierConfig
 
 
@@ -162,3 +163,44 @@ def test_multiplier_degree_floor():
     cfg = VerifierConfig(multiplier_degree=2)
     result = SOSVerifier(prob, [], config=cfg).verify(radial_barrier(2))
     assert result.ok  # higher-degree multipliers still succeed
+
+
+# ----------------------------------------------------------------------
+# short-circuiting: conditions after the first failure are never solved
+# ----------------------------------------------------------------------
+def verify_counting_solves(verifier, B):
+    """``verifier.verify(B)`` plus its number of condition SDP solves
+    (recovery-ladder retries of one condition count once)."""
+    sink = InMemorySink()
+    configure(sink)
+    try:
+        result = verifier.verify(B)
+    finally:
+        disable()
+    base = [s for s in sink.spans("sdp.solve") if s["attrs"]["rung"] == "base"]
+    return result, len(base)
+
+
+def test_init_failure_solves_nothing_else():
+    verifier = SOSVerifier(decay_problem(), [])
+    result, solves = verify_counting_solves(verifier, -1.0 * radial_barrier(2))
+    assert solves == 1
+    assert [(c.name, c.ok, c.message) for c in result.conditions[1:]] == [
+        ("unsafe", False, "skipped (init failed)"),
+        ("lie", False, "skipped (earlier failure)"),
+    ]
+    assert result.conditions[0].name == "init"
+    assert not result.conditions[0].ok
+
+
+def test_lie_failure_skips_the_second_endpoint():
+    x = Polynomial.variable(1, 0)
+    sys1 = ControlAffineSystem.single_input([-1.0 * x], [1.0])
+    prob = CCDS(sys1, Box([-0.5], [0.5]), Box([-2.0], [2.0]), Box([1.5], [2.0]))
+    verifier = SOSVerifier(prob, [Polynomial.zero(1)], sigma_star=[50.0])
+    assert len(verifier._error_endpoints()) == 2
+    result, solves = verify_counting_solves(verifier, radial_barrier(1))
+    names = [c.name for c in result.conditions]
+    assert names == ["init", "unsafe", "lie[w=[-50.0]]"]
+    assert [c.ok for c in result.conditions] == [True, True, False]
+    assert solves == 3
