@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import time
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -26,7 +25,6 @@ from repro.diagnostics import (
     write_bench,
 )
 from repro.telemetry import session as telemetry_session
-from repro.telemetry.context import TraceContext
 from repro.telemetry.profiler import SamplingProfiler
 
 #: every Table-1 run emits its trace + manifest here (overwritten per run)
@@ -106,7 +104,6 @@ def run_snbc(
     resume_from: Optional[str] = None,
     time_budget_s: Optional[float] = None,
     profile: bool = False,
-    trace_ctx: Optional[TraceContext] = None,
 ) -> SNBCResult:
     """One SNBC run with the spec's Table 1 configuration.
 
@@ -125,12 +122,6 @@ def run_snbc(
     attaches the sampling profiler for the duration of the run and
     writes ``<base>.stacks.txt`` / ``<base>.profile.json`` next to the
     trace.
-
-    ``trace_ctx`` (a parent process's
-    :class:`~repro.telemetry.context.TraceContext`) makes this run a
-    shard of the parent's trace: the session inherits the parent's
-    ``trace_id`` and the parent merges this trace after the row
-    completes.
     """
     scale = scale or bench_scale()
     spec, problem, controller = prepared(name)
@@ -159,7 +150,6 @@ def run_snbc(
             },
             seed=snbc_config.seed,
             max_bytes=trace_max_bytes(),
-            trace_context=trace_ctx,
         ) as tel:
             snbc = SNBC(
                 problem,
@@ -194,51 +184,6 @@ def run_snbc(
         write_audit(trace_path[: -len(".jsonl")] + ".audit.json", audit)
     BENCH_ROWS[name] = bench_entry(result, audit=audit)
     return result
-
-
-def run_snbc_row(
-    name: str,
-    scale: Optional[str] = None,
-    checkpoint_path: Optional[str] = None,
-    resume_from: Optional[str] = None,
-    time_budget_s: Optional[float] = None,
-    profile: bool = False,
-    trace_ctx: Optional[TraceContext] = None,
-    submitted_at: Optional[float] = None,
-) -> Tuple[dict, bool, int, float]:
-    """Process-pool entry point for parallel Table-1 rows: run one system
-    and return its BENCH row plus the printable summary fields (the
-    worker's module-global :data:`BENCH_ROWS` is not shared with the
-    parent, so the row travels back in the return value).
-
-    ``submitted_at`` (parent wall-clock at submit) yields the row's
-    ``queue_wait_s`` — how long the row sat in the pool queue before a
-    worker picked it up.  Keeping it separate stops queue wait from
-    being conflated with run time in fleet throughput numbers; the
-    regression gate ignores it (only the ``T_*`` timing keys gate).
-    """
-    queue_wait_s = (
-        max(0.0, time.time() - submitted_at) if submitted_at is not None
-        else None
-    )
-    result = run_snbc(
-        name,
-        scale,
-        checkpoint_path=checkpoint_path,
-        resume_from=resume_from,
-        time_budget_s=time_budget_s,
-        profile=profile,
-        trace_ctx=trace_ctx,
-    )
-    row = BENCH_ROWS[name]
-    if queue_wait_s is not None:
-        row["queue_wait_s"] = round(queue_wait_s, 6)
-    return (
-        row,
-        bool(result.success),
-        int(result.iterations),
-        float(result.timings.total),
-    )
 
 
 def emit_bench_document(out_path: Optional[str] = None,

@@ -86,7 +86,13 @@ class BenchmarkSpec:
         )
 
     def snbc_config(self, scale: str = "paper") -> SNBCConfig:
-        """Loop configuration; ``scale='smoke'`` shrinks budgets for CI."""
+        """Loop configuration; ``scale='smoke'`` shrinks budgets for CI.
+
+        Raises ``ValueError`` for any scale other than ``smoke`` or
+        ``paper``, so a mistyped scale cannot select paper budgets.
+        """
+        if scale not in ("smoke", "paper"):
+            raise ValueError(f"scale must be smoke|paper, got {scale!r}")
         if scale == "smoke":
             return SNBCConfig(
                 max_iterations=min(4, self.max_iterations),

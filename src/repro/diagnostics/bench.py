@@ -107,7 +107,7 @@ def bench_entry(
 
 def error_entry(exc: BaseException) -> Dict[str, Any]:
     """A ``systems`` row for a run that raised before producing a result
-    (driver-level crash, dead pool worker): ``outcome == "error"`` with
+    (a driver-level crash): ``outcome == "error"`` with
     the exception class recorded, so the table keeps its full coverage
     and the regression gate sees the failure class."""
     try:

@@ -23,7 +23,6 @@ site                    effect when fired
 ``inclusion.lp``        raises inside the Chebyshev LP (wrapped into
                         ``InclusionError``)
 ``budget.deadline``     the next ``TimeBudget.check`` reports exhaustion
-``bench.pool``          raises ``BrokenProcessPool`` collecting a Table-1 row
 ======================  =====================================================
 
 Service sites (PR 9) — the certification service's chaos surface:
@@ -66,8 +65,6 @@ how many consecutive hits fire — enough to outlast retry ladders when a
 
 from __future__ import annotations
 
-from concurrent.futures.process import BrokenProcessPool
-
 import numpy as np
 
 from repro.resilience.faults import (
@@ -100,7 +97,6 @@ __all__ = [
     "solver_exception",
     "solver_nonconvergence",
     "step_collapse",
-    "worker_crash",
 ]
 
 
@@ -162,16 +158,6 @@ def lp_failure(at_call: int = 1, times: int = 1) -> FaultSpec:
 def deadline_overrun(at_call: int = 1, times: int = 1) -> FaultSpec:
     """Force the next ``TimeBudget.check`` to report exhaustion."""
     return FaultSpec("budget.deadline", at_call=at_call, times=times)
-
-
-def worker_crash(at_call: int = 1, times: int = 1) -> FaultSpec:
-    """``BrokenProcessPool`` while collecting a Table-1 row result."""
-    return FaultSpec(
-        "bench.pool",
-        exception=lambda: BrokenProcessPool("injected worker death"),
-        at_call=at_call,
-        times=times,
-    )
 
 
 def service_worker_kill(at_call: int = 1, times: int = 1) -> FaultSpec:

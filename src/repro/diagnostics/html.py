@@ -443,21 +443,6 @@ def metrics_section(metrics: Dict[str, Any]) -> str:
     )
 
 
-def workers_section(workers: Optional[Sequence[Dict[str, Any]]]) -> str:
-    """Worker-lane table for cross-process (merged) traces."""
-    if not workers:
-        return ""
-    rows = [
-        [esc(w.get("shard", "?")), esc(w.get("pid", "-")),
-         esc(int(w.get("spans", 0))), fmt(w.get("seconds")),
-         fmt(w.get("clock_skew_s"), digits=6)]
-        for w in workers
-    ]
-    return "<h2>Worker lanes</h2>" + _table(
-        ["shard", "pid", "spans", "busy s", "clock skew s"], rows
-    )
-
-
 def render_dashboard(
     title: str,
     manifest: Optional[Dict[str, Any]],
@@ -465,7 +450,6 @@ def render_dashboard(
     audit: Optional[Dict[str, Any]],
     phases: Dict[str, float],
     metrics: Dict[str, Any],
-    workers: Optional[Sequence[Dict[str, Any]]] = None,
 ) -> str:
     """The full single-file dashboard as an HTML string."""
     manifest = manifest or {}
@@ -519,7 +503,6 @@ def render_dashboard(
 {audit_section(audit)}
 <h2>Phase times</h2>
 {phase_chart(phases)}
-{workers_section(workers)}
 {metrics_section(metrics)}
 </body>
 </html>

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.diagnostics.audit import load_audit
 from repro.diagnostics.convergence import convergence_summary
 from repro.diagnostics.html import render_dashboard
-from repro.telemetry.report import metrics_summary, phase_totals, worker_lanes
+from repro.telemetry.report import metrics_summary, phase_totals
 
 
 def resolve_run(run: str) -> Dict[str, Optional[str]]:
@@ -255,7 +255,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     summary = convergence_summary(events)
     phases = phase_totals(events)
     metrics = metrics_summary(events)
-    workers = worker_lanes(events)
 
     print(render_terminal(summary, manifest, audit, phases), end="")
 
@@ -263,7 +262,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out = args.html or (paths["base"] + ".report.html")
         title = (manifest or {}).get("name") or os.path.basename(paths["base"])
         page = render_dashboard(title, manifest, summary, audit, phases,
-                                metrics, workers=workers)
+                                metrics)
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(page)
         print(f"dashboard written to {out}")

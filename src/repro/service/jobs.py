@@ -24,7 +24,8 @@ Runners
     A full CEGIS/SNBC run on a named Table-1 benchmark, honoring the
     PR 4 checkpoint protocol: the worker passes a per-key checkpoint
     path, so a preempted job resumes bit-identically instead of
-    restarting.
+    restarting.  ``config["scale"]`` (default ``smoke``) must be
+    ``smoke`` or ``paper``.
 
 ``custom``
     Resolve ``entry`` (``module:function``) and call it with

@@ -21,9 +21,6 @@ Deeper instrumentation lives alongside: :mod:`repro.telemetry.profiler`
 self-time) and :mod:`repro.telemetry.store` (the cross-run fleet index
 behind the fleet CLI).
 
-Cross-process runs are first-class: :mod:`repro.telemetry.context`
-propagates a :class:`TraceContext` (one ``trace_id`` per run) into pool
-workers and merges their JSONL shards back into the parent trace, and
 :mod:`repro.telemetry.status` maintains an atomically-written
 ``status.json`` heartbeat per run that ``python -m repro.telemetry.tail``
 follows live (single run or ``--fleet`` board).
@@ -31,21 +28,9 @@ follows live (single run or ``--fleet`` board).
 The span/metric event schema is documented in :mod:`repro.telemetry.spans`.
 """
 
-from repro.telemetry.context import (
-    TraceContext,
-    capture,
-    merge_shard,
-    merge_shard_events,
-    worker_session,
-)
 from repro.telemetry.manifest import RunManifest, collect_git_sha, platform_info
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.profiler import (
-    SamplingProfiler,
-    get_active_profiler,
-    reset_active_profiler,
-    set_active_profiler,
-)
+from repro.telemetry.profiler import SamplingProfiler
 from repro.telemetry.runtime import (
     Telemetry,
     configure,
@@ -75,24 +60,16 @@ __all__ = [
     "Span",
     "StatusWriter",
     "Telemetry",
-    "TraceContext",
     "Tracer",
-    "capture",
     "collect_git_sha",
     "configure",
     "disable",
     "fleet_summary",
-    "get_active_profiler",
     "get_telemetry",
     "load_events",
     "load_run",
-    "merge_shard",
-    "merge_shard_events",
     "platform_info",
     "read_status",
-    "reset_active_profiler",
     "scan_runs",
     "session",
-    "set_active_profiler",
-    "worker_session",
 ]

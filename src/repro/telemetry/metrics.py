@@ -110,36 +110,6 @@ class MetricsRegistry:
         diagnostics reports consume."""
         return self.summary()
 
-    def raw(self) -> Dict[str, Any]:
-        """Lossless export: counters, gauges, and the *raw* histogram
-        observation lists (no percentile reduction).  This is what a pool
-        worker ships back to the parent so :meth:`merge_raw` can fold the
-        observations in without double-summarizing."""
-        with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "histograms": {k: list(v) for k, v in self._histograms.items()},
-            }
-
-    def merge_raw(self, raw: Dict[str, Any]) -> None:
-        """Fold another registry's :meth:`raw` export into this one:
-        counters add, gauges take the incoming value (last-writer-wins,
-        matching ``gauge()`` semantics), histogram observations extend.
-        Ignores the ``enabled`` flag — a merge is bookkeeping the parent
-        asked for, not hot-path instrumentation."""
-        if not raw:
-            return
-        with self._lock:
-            for name, value in (raw.get("counters") or {}).items():
-                self._counters[name] = self._counters.get(name, 0.0) + float(value)
-            for name, value in (raw.get("gauges") or {}).items():
-                self._gauges[name] = float(value)
-            for name, values in (raw.get("histograms") or {}).items():
-                self._histograms.setdefault(name, []).extend(
-                    float(v) for v in values
-                )
-
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()

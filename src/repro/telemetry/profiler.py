@@ -30,14 +30,13 @@ Usage::
 or pass ``--profile`` to ``benchmarks/run_bench_table1.py``.
 
 A signal-based sampler (``signal.setitimer``) would also catch C-level
-stalls, but only works on the main thread and collides with the bench
-driver's pool workers; the thread-based sampler works anywhere, which is
-why it is the default and only implementation here.
+stalls, but only works on the main thread; the thread-based sampler
+works anywhere, which is why it is the default and only implementation
+here.
 """
 
 from __future__ import annotations
 
-import contextvars
 import json
 import sys
 import threading
@@ -46,29 +45,6 @@ from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
 PROFILE_SCHEMA_VERSION = 1
-
-#: the profiler attached to the *current* context, if any — pool-merge
-#: code uses this to fold worker samples into whatever profiler the
-#: harness started, without threading the handle through every layer
-_active: "contextvars.ContextVar[Optional[SamplingProfiler]]" = (
-    contextvars.ContextVar("repro_active_profiler", default=None)
-)
-
-
-def get_active_profiler() -> Optional["SamplingProfiler"]:
-    """The profiler registered for this context, or None."""
-    return _active.get()
-
-
-def set_active_profiler(
-    profiler: Optional["SamplingProfiler"],
-) -> "contextvars.Token":
-    """Register ``profiler`` for this context; returns the reset token."""
-    return _active.set(profiler)
-
-
-def reset_active_profiler(token: "contextvars.Token") -> None:
-    _active.reset(token)
 
 #: default sampling period (seconds); ~100 Hz keeps overhead noise-level
 #: while resolving phases that last tens of milliseconds
@@ -167,35 +143,6 @@ class SamplingProfiler:
             if stack:
                 self.samples[tuple(reversed(stack))] += 1
                 self.n_samples += 1
-
-    # -- cross-process fold ---------------------------------------------
-    def export_samples(self) -> Dict[str, Any]:
-        """JSON-ready sample dump a pool worker ships to the parent:
-        stacks as lists of frame keys plus the worker's own sample count
-        and sampled wall time (see :meth:`absorb`)."""
-        return {
-            "samples": [
-                [list(stack), count]
-                for stack, count in sorted(self.samples.items())
-            ],
-            "n_samples": self.n_samples,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "interval_s": self.interval,
-        }
-
-    def absorb(self, exported: Dict[str, Any]) -> None:
-        """Fold a worker's :meth:`export_samples` dump into this profiler.
-
-        Both the samples *and* the worker's sampled wall seconds are
-        added, so ``seconds_per_sample`` stays ≈ the sampling interval
-        instead of being diluted by stacks this process never timed.
-        """
-        if not exported:
-            return
-        for stack, count in exported.get("samples", []):
-            self.samples[tuple(stack)] += int(count)
-        self.n_samples += int(exported.get("n_samples", 0))
-        self.wall_seconds += float(exported.get("wall_seconds", 0.0))
 
     # -- aggregation ----------------------------------------------------
     @property

@@ -58,14 +58,6 @@ def span_self_times(events: Sequence[Dict[str, Any]]) -> Dict[int, float]:
     """Exclusive (self) seconds per span id: duration minus the summed
     durations of its *direct* children, floored at 0 (clock jitter can
     make children sum past the parent by nanoseconds).
-
-    Only children from the *same process shard* subtract (a merged trace
-    stamps worker spans with a ``shard`` key; parent-process spans have
-    none).  A worker root span linked under the parent's submission span
-    ran in a different process — concurrently with the parent — so its
-    duration is not time the parent span spent in children, and the
-    merged trace's self-time totals stay equal to the sum of the
-    per-process traces' totals.
     """
     by_id: Dict[int, Dict[str, Any]] = {
         e["span_id"]: e
@@ -76,11 +68,6 @@ def span_self_times(events: Sequence[Dict[str, Any]]) -> Dict[int, float]:
     for e in by_id.values():
         parent = e.get("parent_id")
         if parent is None:
-            continue
-        parent_event = by_id.get(parent)
-        if parent_event is not None and (
-            parent_event.get("shard") != e.get("shard")
-        ):
             continue
         child_sum[parent] = child_sum.get(parent, 0.0) + float(
             e.get("duration", 0.0)
@@ -120,39 +107,6 @@ def span_aggregates(
     ]
     rows.sort(key=lambda r: r[2], reverse=True)
     return rows
-
-
-def worker_lanes(events: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Per-shard rollup of a merged trace's worker-origin spans.
-
-    ``seconds`` sums each lane's *root* spans (spans whose parent lives
-    in another shard or the parent process), i.e. the wall time the lane
-    was busy; ``clock_skew_s`` is the monotonic-clock shift the merge
-    applied to that worker's timestamps.  Single-process traces have no
-    ``shard``-stamped spans and return an empty list.
-    """
-    by_id: Dict[int, Dict[str, Any]] = {
-        e["span_id"]: e
-        for e in events
-        if e.get("type") == "span" and e.get("span_id") is not None
-    }
-    lanes: Dict[Any, Dict[str, Any]] = {}
-    for e in by_id.values():
-        shard = e.get("shard")
-        if shard is None:
-            continue
-        lane = lanes.setdefault(shard, {
-            "shard": shard,
-            "pid": e.get("pid"),
-            "spans": 0,
-            "seconds": 0.0,
-            "clock_skew_s": float(e.get("clock_skew_s") or 0.0),
-        })
-        lane["spans"] += 1
-        parent = by_id.get(e.get("parent_id"))
-        if parent is None or parent.get("shard") != shard:
-            lane["seconds"] += float(e.get("duration", 0.0))
-    return sorted(lanes.values(), key=lambda lane: str(lane["shard"]))
 
 
 #: solver sub-phase keys in per-iteration IPM trace records, in
@@ -300,20 +254,6 @@ def render_report(
             lines.append(f"... {len(span_rows) - max_span_rows} more span names")
         lines.append("")
 
-    lanes = worker_lanes(events)
-    if lanes:
-        rows = [
-            [str(lane["shard"]),
-             str(lane["pid"]) if lane["pid"] is not None else "-",
-             str(lane["spans"]), f"{lane['seconds']:.3f}",
-             f"{lane['clock_skew_s']:+.4f}"]
-            for lane in lanes
-        ]
-        lines.append(h("Workers"))
-        lines += _table(["shard", "pid", "spans", "busy s", "clock skew s"],
-                        rows, markdown)
-        lines.append("")
-
     subphases = ipm_subphase_totals(events)
     if subphases:
         grand = sum(r["seconds"] for r in subphases)
@@ -380,7 +320,6 @@ def report_payload(
             for name, count, total, self_total, mean, mx
             in span_aggregates(events)
         ],
-        "workers": worker_lanes(events),
         "ipm_subphases": ipm_subphase_totals(events),
         "metrics": summary,
         "caches": [

@@ -7,13 +7,12 @@ still picked up.  The default instance is disabled: spans still time
 
 Session activation is **per-context** (a :mod:`contextvars` variable),
 not a process global: two runs started in different threads each see
-their own sink, so a multi-run harness (the bench ``--jobs`` thread
-path, pytest-parallel, notebooks) cannot interleave events into one
-trace.  Threads spawned *inside* a session start from a fresh context
-and therefore fall back to the process default — pass the session's
-``Telemetry`` handle explicitly if a worker thread should record into
-it.  :func:`configure`/:func:`disable` still manage the process-wide
-fallback for single-run scripts.
+their own sink, so a multi-run harness (pytest-parallel, notebooks)
+cannot interleave events into one trace.  Threads spawned *inside* a
+session start from a fresh context and therefore fall back to the
+process default — pass the session's ``Telemetry`` handle explicitly if
+a worker thread should record into it.  :func:`configure`/:func:`disable`
+still manage the process-wide fallback for single-run scripts.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-import time
 import uuid
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
@@ -47,8 +45,8 @@ class Telemetry:
         self.tracer = Tracer(self.sink, enabled=self.enabled)
         self.metrics = MetricsRegistry(enabled=self.enabled)
         self.manifest = manifest
-        #: stable id shared by every process contributing to this run's
-        #: trace; None on the disabled default instance
+        #: stable id of this run's trace; None on the disabled default
+        #: instance
         self.trace_id = trace_id
         #: optional StatusWriter (sessions attach one); None elsewhere
         self.status: Optional[StatusWriter] = None
@@ -66,11 +64,6 @@ class Telemetry:
         so library hooks can call it unconditionally."""
         if self.status is not None:
             self.status.update(force=force, **fields)
-
-    def status_worker(self, shard: Any, **fields: Any) -> None:
-        """Worker-lane liveness hook; no-op without a StatusWriter."""
-        if self.status is not None:
-            self.status.worker_update(shard, **fields)
 
     # -- lifecycle ------------------------------------------------------
     def flush(self) -> None:
@@ -125,7 +118,6 @@ def session(
     seed: Optional[int] = None,
     manifest_path: Optional[str] = None,
     max_bytes: Optional[int] = None,
-    trace_context: Any = None,
     status: bool = True,
     **extra: Any,
 ) -> Iterator[Telemetry]:
@@ -141,13 +133,8 @@ def session(
     ``max_bytes`` bounds the trace file (see
     :class:`~repro.telemetry.spans.JSONLSink`); ``None`` means unbounded.
 
-    Every session carries a ``trace_id``: a fresh ``uuid4`` hex, or —
-    when ``trace_context`` (a :class:`~repro.telemetry.context
-    .TraceContext` from a parent process) is given — the parent run's
-    id, so a fan-out of pool workers shares one id end to end.  The
-    first trace event is a ``trace_context`` anchor recording this
-    process's (perf_counter, wall) clock pair, which the parent's merge
-    uses to annotate monotonic-clock skew.
+    Every session carries a fresh ``uuid4`` hex ``trace_id``, recorded
+    in the manifest and the status heartbeat.
 
     Unless ``status=False``, a live ``<base>.status.json`` heartbeat
     (see :class:`~repro.telemetry.status.StatusWriter`) is attached and
@@ -161,10 +148,7 @@ def session(
     base = trace_path[:-6] if trace_path.endswith(".jsonl") else trace_path
     if manifest_path is None:
         manifest_path = base + ".manifest.json"
-    ctx = trace_context
-    trace_id = getattr(ctx, "trace_id", None) or uuid.uuid4().hex
-    if ctx is not None:
-        extra.setdefault("trace_context", ctx.to_dict())
+    trace_id = uuid.uuid4().hex
     extra.setdefault("trace_id", trace_id)
     manifest = RunManifest.create(
         name, config=config, seed=seed, trace_path=trace_path, **extra
@@ -174,19 +158,6 @@ def session(
         manifest=manifest,
         trace_id=trace_id,
     )
-    anchor = {
-        "type": "trace_context",
-        "trace_id": trace_id,
-        "name": name,
-        "pid": os.getpid(),
-        "t_perf": time.perf_counter(),
-        "t_wall": time.time(),
-    }
-    if ctx is not None:
-        anchor["parent_span_id"] = getattr(ctx, "parent_span_id", None)
-        anchor["shard_index"] = getattr(ctx, "shard_index", None)
-        anchor["run_name"] = getattr(ctx, "run_name", None)
-    tel.sink.emit(anchor)
     if status:
         tel.status = StatusWriter(
             base + ".status.json", name=name, trace_id=trace_id
@@ -202,15 +173,6 @@ def session(
         raise
     finally:
         _active.reset(token)
-        if ctx is not None and tel.enabled:
-            # a raw (unreduced) metrics export so the parent process can
-            # fold this run's observations into its own registry when it
-            # merges this trace as a shard
-            tel.sink.emit({
-                "type": "worker_metrics",
-                "shard_index": getattr(ctx, "shard_index", None),
-                "raw": tel.metrics.raw(),
-            })
         if tel.status is not None:
             tel.status.finish(manifest.outcome or "unknown")
         tel.close()

@@ -240,17 +240,6 @@ class Tracer:
             self._next_id += 1
             return span_id
 
-    def reserve_ids(self, count: int) -> int:
-        """Reserve a contiguous block of ``count`` span ids and return the
-        first one.  Used when merging worker shard traces: worker span ids
-        are remapped into a reserved block so they can never collide with
-        ids the parent tracer hands out later."""
-        count = max(0, int(count))
-        with self._id_lock:
-            base = self._next_id
-            self._next_id += count
-            return base
-
     def _stack(self) -> List[Span]:
         stack = getattr(self._local, "stack", None)
         if stack is None:

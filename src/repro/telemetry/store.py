@@ -17,9 +17,10 @@ a trace with no manifest, or whose manifest never recorded an outcome
 lines are skipped the same way the report CLIs skip them, and artifacts
 written before a given schema addition simply leave the corresponding
 fields empty.  Bench-parent traces (the merged ``bench-<scale>.jsonl``
-written by ``--jobs`` drivers, manifest ``extra.role ==
-"bench_parent"``) are indexed but excluded from the per-system
-aggregates so their merged copies of run spans never double-count.
+that older bench drivers wrote for process-pool runs, manifest
+``extra.role == "bench_parent"``) are indexed but excluded from the
+per-system aggregates so their merged copies of run spans never
+double-count.
 The summary is a pure function of file contents — no clocks — so
 committed fixtures can pin it with a golden test; *live* staleness
 detection (heartbeat age) belongs to ``repro.telemetry.tail``.

@@ -203,6 +203,7 @@ def resolve_run_status_path(target: str) -> Optional[str]:
 def format_event(event: Dict[str, Any], max_width: int = 110) -> Optional[str]:
     """Compact one-liner for a non-span trace event; None to skip."""
     etype = event.get("type")
+    # the last three are cross-process merge events found in older traces
     if etype in (None, "span", "metrics", "trace_context", "worker_metrics",
                  "profile_samples"):
         return None

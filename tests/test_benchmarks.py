@@ -137,3 +137,10 @@ def test_snbc_config_scales():
     assert smoke.n_samples <= paper.n_samples
     assert smoke.max_iterations <= paper.max_iterations
     assert smoke.inclusion_error_mode == paper.inclusion_error_mode == "empirical"
+
+
+@pytest.mark.parametrize("scale", ["Smoke", "PAPER", "ci", ""])
+def test_snbc_config_rejects_unknown_scale(scale):
+    # a typo must not fall through to paper-scale budgets
+    with pytest.raises(ValueError, match="smoke|paper"):
+        get_benchmark("C9").snbc_config(scale)

@@ -225,7 +225,7 @@ def test_bench_serial_records_error_row_and_continues(tmp_path, monkeypatch):
     driver, common = _bench_modules(monkeypatch, tmp_path)
     common.BENCH_ROWS.clear()
     args = argparse.Namespace(
-        jobs=1, checkpoint_dir=None, resume=False, time_budget=None
+        checkpoint_dir=None, resume=False, time_budget=None
     )
     failures = []
     # first C1 row hits the LP fault, the second system still runs clean
@@ -240,26 +240,6 @@ def test_bench_serial_records_error_row_and_continues(tmp_path, monkeypatch):
     out = driver.main(["--systems", "C1", "--out", str(tmp_path / "b.json")])
     common.BENCH_ROWS.clear()
     assert out in (0, 1)  # document emitted either way
-
-
-def test_bench_parallel_worker_crash_retried_serially(tmp_path, monkeypatch):
-    import argparse
-
-    driver, common = _bench_modules(monkeypatch, tmp_path)
-    common.BENCH_ROWS.clear()
-    args = argparse.Namespace(
-        jobs=2, checkpoint_dir=None, resume=False, time_budget=None
-    )
-    with fi.inject(fi.worker_crash()) as plan:
-        failures = driver._run_parallel(["C1", "C3"], "smoke", args)
-    # one future "died"; its row was classified WorkerCrash, then the
-    # serial retry overwrote it with a real result
-    assert plan.fired_sites() == ["bench.pool"]
-    assert set(common.BENCH_ROWS) == {"C1", "C3"}
-    for name in ("C1", "C3"):
-        assert common.BENCH_ROWS[name]["outcome"] == "success"
-    assert failures == []
-    common.BENCH_ROWS.clear()
 
 
 def test_bench_parallel_worker_crash_row_without_retry():

@@ -456,6 +456,68 @@ def test_supervisor_sigkill_then_resume_finishes_batch(tmp_path):
     )
 
 
+# -- certify: full SNBC Table-1 rows --------------------------------------
+def certify_request(system, scale="smoke", seed=0):
+    return CertificationRequest(
+        kind="certify", system=system, seed=seed, config={"scale": scale}
+    )
+
+
+def test_certify_through_pool_matches_serial_snbc_run(tmp_path):
+    """The service is the parallel path for Table-1 rows: a C1 row run
+    by a pool worker yields the same certificate as a direct run."""
+    import asyncio
+
+    from repro.benchmarks import get_benchmark
+    from repro.cegis import SNBC
+    from repro.soundness import bundle_to_dict
+
+    req = certify_request("C1")
+    service = CertificationService(
+        str(tmp_path / "root"), ServiceConfig(workers=2)
+    )
+    try:
+        service.submit(req)
+        out = asyncio.run(service.run())
+        payload = service.payload(req.key())
+    finally:
+        service.close()
+    assert out["jobs"][req.key()]["status"] == "success"
+    assert payload["outcome"] == "success"
+    assert payload["proven"] is True
+
+    spec = get_benchmark("C1")
+    result = SNBC(
+        spec.make_problem(),
+        controller=spec.make_controller(),
+        learner_config=spec.learner_config(),
+        config=spec.snbc_config("smoke"),
+    ).run()
+    assert payload["iterations"] == result.iterations
+    assert canonical_json(payload["bundle"]) == canonical_json(
+        bundle_to_dict(result.verification.certificate)
+    )
+
+
+def test_certify_mistyped_scale_dead_letters_before_snbc(
+    tmp_path, monkeypatch
+):
+    from repro.cegis import SNBC
+
+    started = []
+    monkeypatch.setattr(
+        SNBC, "run", lambda self, *a, **k: started.append(self)
+    )
+    req = certify_request("C1", scale="Smoke")
+    out = run_service(str(tmp_path / "root"), [req], ServiceConfig(workers=0))
+    row = out["jobs"][req.key()]
+    assert row["status"] == "dead_letter"
+    assert row["attempts"] == 1  # ValueError is terminal: no retry
+    assert row["error"]["kind"] == "ValueError"
+    assert "Smoke" in row["error"]["message"]
+    assert started == []
+
+
 # -- CLI -----------------------------------------------------------------
 def test_cli_run_and_status(tmp_path, capsys):
     from repro.service.cli import main

@@ -408,8 +408,8 @@ def test_report_cli_json_format(tmp_path, capsys):
     trace = _sample_trace(tmp_path)
     assert report_main([trace, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert set(payload) == {"manifest", "phases", "spans", "workers",
-                            "metrics", "caches", "ipm_subphases"}
+    assert set(payload) == {"manifest", "phases", "spans", "metrics",
+                            "caches", "ipm_subphases"}
     assert payload["manifest"]["name"] == "report-test"
     assert set(payload["phases"]) == {"learning", "verification"}
     assert payload["metrics"]["counters"]["cegis.iterations"] == 2.0
