@@ -18,8 +18,9 @@ captured :class:`~repro.soundness.certificate.CertificateBundle`:
    over every basis pair producing each monomial — after absorption the
    identity holds **exactly** (coefficient equality over ℚ, re-verified
    symbolically);
-4. the absorbed slack Gram is certified PSD by exact rational LDLᵀ,
-   after a diagonal shift ``delta_s`` when needed.  A shift is not free:
+4. the absorbed slack Gram is certified PSD exactly
+   (:func:`~repro.soundness.rational.find_psd_shift`), after a diagonal
+   shift ``delta_s`` when needed.  A shift is not free:
    ``m^T (Q + delta I) m <= m^T Q m + delta * S`` with ``S`` the exact
    box bound on ``sum_k m_k^2``, so ``delta_s * S`` is charged against
    the strictness margin.  The condition is sound iff the *certified
@@ -75,9 +76,10 @@ class SoundnessConfig:
     """Knobs of the exact checker."""
 
     #: quantize Gram entries via ``Fraction.limit_denominator`` before
-    #: absorption, bounding coefficient bit-growth inside the rational
-    #: LDLᵀ; quantization error is absorbed into the slack residual, so
-    #: the final identity stays exact.  ``None``: fully exact embedding.
+    #: absorption.  This bounds the multiplier Grams' entries; the
+    #: absorbed slack Gram carries wide residual shares either way.
+    #: Quantization error is absorbed into the slack residual, so the
+    #: final identity stays exact.  ``None``: fully exact embedding.
     max_denominator: Optional[int] = 2 ** 40
     #: dyadic diagonal shifts tried (smallest first) to restore exact
     #: PSD-ness; each accepted shift is charged against the margin

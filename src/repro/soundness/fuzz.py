@@ -15,7 +15,8 @@ nonzero.
 Suites
 ------
 ``exact``     rational LDL^T / Gram-expansion invariants of the exact
-              checker's arithmetic core.
+              checker's arithmetic core, and ``find_psd_shift``'s
+              witnesses vs the LDL^T-only shift ladder.
 ``autodiff``  Tape replay vs naive backward on random small networks
               (bitwise agreement).
 ``verifier``  SOS verifier vs interval branch-and-prune on random
@@ -36,10 +37,16 @@ import numpy as np
 
 from repro.soundness import strategies as st
 from repro.soundness.rational import (
+    find_psd_shift,
     gram_polynomial,
     ldlt_psd,
+    ldlt_psd_shift,
     rationalize_matrix,
 )
+
+#: a positive scale with a 102-bit denominator: multiplying a Gram by it
+#: keeps its PSD-ness and makes it wider than the positive witness's grid
+WIDEN = Fraction(3**64 + 1, 3**64)
 
 
 # ----------------------------------------------------------------------
@@ -81,6 +88,28 @@ def _prop_gram_expansion_matches_float(Q) -> None:
     )
 
 
+def _near_singular_case() -> st.Strategy:
+    # (PD source, rank kept, diagonal offset): offsets straddle the
+    # float noise of a rank-deficient product, so draws land on exactly
+    # PD, tiny-negativity (one ladder rung) and hopeless matrices
+    return st.tuples(
+        st.psd_matrices(4),
+        st.integers(1, 4),
+        st.sampled_from([0.0, 1e-13, -1e-15, -1e-12, -1e-9, -1e-6, -10.0]),
+    )
+
+
+def _prop_psd_witness_agrees(case) -> None:
+    Q, rank, offset = case
+    A = np.array(Q, dtype=float)[:, :rank]
+    R = rationalize_matrix(A @ A.T + offset * np.eye(len(Q)), None)
+    R = [[q * WIDEN for q in row] for row in R]
+    got, want = find_psd_shift(R), ldlt_psd_shift(R)
+    assert got == want, (
+        f"find_psd_shift returned {got}, the LDL^T-only ladder {want}"
+    )
+
+
 def run_exact_suite(seed: int, n_examples: int) -> int:
     grams = st.psd_matrices(3)
     total = 0
@@ -95,6 +124,10 @@ def run_exact_suite(seed: int, n_examples: int) -> int:
     total += st.run_property(
         "exact-gram-expansion", grams, _prop_gram_expansion_matches_float,
         n_examples=n_examples, seed=seed + 2,
+    )
+    total += st.run_property(
+        "exact-psd-witness-agrees", _near_singular_case(),
+        _prop_psd_witness_agrees, n_examples=n_examples, seed=seed + 3,
     )
     return total
 

@@ -1,8 +1,8 @@
 """Exact rational polynomial arithmetic and PSD certification over ℚ.
 
-Everything in this module computes with :class:`fractions.Fraction` —
-no floats anywhere past the constructors.  The two facts that make an
-exact a-posteriori certificate check possible:
+Every value this module accepts or returns is exact: polynomial
+coefficients and Gram entries are :class:`fractions.Fraction`.  The two
+facts that make an exact a-posteriori certificate check possible:
 
 * every IEEE-754 double is a dyadic rational, so ``Fraction(float)`` is
   a *lossless* embedding of the solver's output into ℚ;
@@ -11,6 +11,13 @@ exact a-posteriori certificate check possible:
   (:func:`ldlt_psd`): the matrix is PSD iff the elimination never meets
   a negative pivot and every zero pivot heads an all-zero trailing
   block.
+
+:func:`find_psd_shift` uses floats only to *propose*: a float eigenpair
+skips hopeless shift rungs and, for a Gram with denominators wider than
+a 62-bit integer grid, suggests an exact witness per rung — an LDLᵀ of
+the Gram rounded onto that grid that proves PSD-ness, or a rounded
+eigenvector whose exact Rayleigh quotient disproves it.  Acceptance
+stays exact, and every rung's verdict equals :func:`ldlt_psd`'s.
 
 On top of those, :class:`RationalPolynomial` mirrors the float
 :class:`repro.poly.Polynomial` API closely enough to recompute the
@@ -21,7 +28,11 @@ Putinar identities (13)-(15) symbolically (see
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
+
+import numpy as np
 
 from repro.poly.monomials import Exponent, add_exponents, grlex_key
 from repro.poly.polynomial import Polynomial
@@ -339,16 +350,118 @@ def ldlt_psd(Q: RationalMatrix) -> bool:
     return True
 
 
-def _float_min_eig(Q: RationalMatrix) -> float:
-    """Cheap float estimate of the smallest eigenvalue, used only to pick
-    a starting point in the shift ladder (the LDLᵀ decision stays exact)."""
-    try:  # numpy is a hard dependency of the repo, but stay defensive
-        import numpy as np
+#: the positive witness rounds ``2**s * Q`` onto integers whose largest
+#: magnitude is about ``2**_GRID_BITS``; it pays only for Grams with
+#: denominators wider than that
+_GRID_BITS = 62
 
-        M = np.array([[float(x) for x in row] for row in Q], dtype=float)
-        return float(np.linalg.eigvalsh(M)[0])
-    except Exception:  # pragma: no cover - numpy always available
-        return float("-inf")
+
+def _smallest_eigenpair(
+    Q: RationalMatrix,
+) -> Optional[Tuple[float, np.ndarray]]:
+    """Float estimate ``(lambda_min, v)`` of ``Q``'s smallest eigenpair, or
+    ``None`` when it cannot be formed.  It only proposes rung skips and
+    witnesses; every decision it feeds is exact."""
+    try:
+        w, V = np.linalg.eigh(np.array([[float(x) for x in row] for row in Q]))
+    except (ArithmeticError, np.linalg.LinAlgError):
+        return None
+    if not (np.isfinite(w[0]) and np.all(np.isfinite(V[:, 0]))):
+        return None
+    return float(w[0]), V[:, 0]
+
+
+def _screened_rungs(
+    ladder: Sequence[Fraction], min_eig: Optional[float]
+) -> Iterator[Fraction]:
+    """The ladder in ascending order, minus the rungs below half the float
+    negativity ``-min_eig``: a shift that small cannot restore PSD-ness.
+    The screen only ever skips rungs, and skips none without an
+    estimate."""
+    for delta in sorted(ladder):
+        if min_eig is None or min_eig >= 0 or float(delta) >= -min_eig * 0.5:
+            yield delta
+
+
+def ldlt_psd_shift(
+    Q: RationalMatrix,
+    ladder: Sequence[Fraction] = DEFAULT_DELTA_LADDER,
+) -> Optional[Fraction]:
+    """Smallest shift ``delta`` in ``{0} ∪ ladder`` with ``Q + delta I``
+    exactly PSD, or ``None`` when even the largest rung fails, with every
+    rung decided by :func:`ldlt_psd`.
+
+    Rung 0 comes first; past it, a float eigenvalue estimate skips rungs
+    that cannot work (:func:`_screened_rungs`).  This is the reference
+    :func:`find_psd_shift` must agree with.
+    """
+    if ldlt_psd(Q):
+        return Fraction(0)
+    pair = _smallest_eigenpair(Q)
+    for delta in _screened_rungs(ladder, None if pair is None else pair[0]):
+        if ldlt_psd(shift_diagonal(Q, delta)):
+            return delta
+    return None
+
+
+def _times_pow2(q: Fraction, s: int) -> Tuple[int, int]:
+    """``q * 2**s`` as an unreduced ``(numerator, denominator)`` pair."""
+    if s >= 0:
+        return q.numerator << s, q.denominator
+    return q.numerator, q.denominator << -s
+
+
+def _integer_grid(Q: RationalMatrix) -> Tuple[RationalMatrix, int]:
+    """``(M, s)``: ``M`` is the integer matrix nearest ``2**s * Q`` (as
+    denominator-1 fractions), with ``s`` putting its largest entry near
+    ``2**_GRID_BITS``."""
+    top = max(
+        (q.numerator.bit_length() - q.denominator.bit_length()
+         for row in Q for q in row if q),
+        default=0,
+    )
+    s = _GRID_BITS - top
+    M = []
+    for row in Q:
+        out = []
+        for q in row:
+            num, den = _times_pow2(q, s)
+            out.append(Fraction((2 * num + den) // (2 * den)))
+        M.append(out)
+    return M, s
+
+
+def _grid_witness(grid: Tuple[RationalMatrix, int], delta: Fraction) -> bool:
+    """Sufficient exact test for ``Q + delta I`` PSD on ``Q``'s integer grid.
+
+    With ``E = 2**s Q - M``, every ``|E_ij| <= 1/2``, so ``||E||_2 <=
+    ||E||_F <= n/2``.  Hence ``2**s (Q + delta I) = W + (f I) + (c I + E)``
+    with ``c = ceil(n/2)``, ``f`` the fractional part of ``2**s delta`` and
+    ``W = M + (floor(2**s delta) - c) I``; the last two terms are PSD, so
+    ``W`` PSD proves ``Q + delta I`` PSD.  ``W`` is an integer matrix, so
+    its LDLᵀ meets ~62-bit entries instead of the Gram's wide fractions.
+    """
+    M, s = grid
+    num, den = _times_pow2(delta, s)
+    shift = Fraction(num // den - (len(M) + 1) // 2)
+    return ldlt_psd(shift_diagonal(M, shift))
+
+
+def _rayleigh_numerator(Q: RationalMatrix, u: Sequence[int]) -> Fraction:
+    """Exact ``uᵀ Q u`` for an integer vector ``u``.  Numerators are summed
+    per distinct denominator, so only those few partial sums meet a gcd."""
+    by_den: Dict[int, int] = {}
+    for i, row in enumerate(Q):
+        if not u[i]:
+            continue
+        for j, q in enumerate(row):
+            if u[j] and q:
+                by_den[q.denominator] = (
+                    by_den.get(q.denominator, 0) + u[i] * u[j] * q.numerator
+                )
+    return sum(
+        (Fraction(num, den) for den, num in by_den.items()), Fraction(0)
+    )
 
 
 def find_psd_shift(
@@ -358,17 +471,48 @@ def find_psd_shift(
     """Smallest shift ``delta`` in ``{0} ∪ ladder`` with ``Q + delta I``
     exactly PSD, or ``None`` when even the largest rung fails.
 
-    A float eigenvalue estimate skips ladder rungs that obviously cannot
-    work; the accepted rung is always certified by exact LDLᵀ.
+    ``Q`` must be symmetric.  The result always equals
+    :func:`ldlt_psd_shift`'s, which decides a Gram whose denominators fit
+    the ``_GRID_BITS`` grid.  A wider Gram (an absorbed slack Gram, say)
+    first tries the positive witness at rung 0, then lets a float
+    eigenpair skip the same rungs and propose a cheap exact witness for
+    each one left:
+
+    * positive, when the float ``lambda_min + delta > 0``: an LDLᵀ of
+      ``Q``'s integer grid (:func:`_grid_witness`) can prove PSD-ness;
+    * negative, when it is ``< 0``: the eigenvector rounded to integers
+      ``u`` disproves the rung if ``uᵀQu + delta uᵀu < 0`` exactly.
+
+    Both witnesses are proofs, and a rung neither settles (for example
+    an exactly singular PSD ``Q``) goes to :func:`ldlt_psd`, so every
+    rung's verdict equals that of ``ldlt_psd(Q + delta I)``.  When the
+    eigenpair cannot be formed, every rung past 0 goes to
+    :func:`ldlt_psd`.
     """
-    if ldlt_psd(Q):
+    if all(q.denominator.bit_length() <= _GRID_BITS for row in Q for q in row):
+        return ldlt_psd_shift(Q, ladder)
+    grid = _integer_grid(Q)
+    if _grid_witness(grid, Fraction(0)):  # most Grams are PD
         return Fraction(0)
-    min_eig = _float_min_eig(Q)
-    for delta in sorted(ladder):
-        # a shift below ~|min eig| cannot restore PSD-ness; the float
-        # screen only ever *skips* rungs, acceptance is exact
-        if min_eig < 0 and float(delta) < -min_eig * 0.5:
-            continue
+    pair = _smallest_eigenpair(Q)
+    min_eig = None if pair is None else pair[0]
+    rayleigh = None
+    for delta in (Fraction(0), *_screened_rungs(ladder, min_eig)):
+        if pair is not None:
+            gap = min_eig + float(delta)
+            if gap > 0 and delta:  # rung 0's grid witness failed above
+                if _grid_witness(grid, delta):
+                    return delta
+            elif gap < 0:
+                if rayleigh is None:
+                    # any vector can witness; v has unit norm, so 2**52 v
+                    # rounds to nonzero integers of at most 53 bits
+                    u = [round(float(x) * 2.0 ** 52) for x in pair[1]]
+                    rayleigh = (
+                        _rayleigh_numerator(Q, u), sum(x * x for x in u)
+                    )
+                if rayleigh[0] + delta * rayleigh[1] < 0:
+                    continue
         if ldlt_psd(shift_diagonal(Q, delta)):
             return delta
     return None

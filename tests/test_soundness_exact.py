@@ -3,6 +3,7 @@ LDL^T, certificate rechecking over Q, the SNBC success gate, and the
 checkpoint-resume bit-identity of the resulting SoundnessReport."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,9 @@ from repro.soundness import (
     rational_lie_derivative,
     rationalize_matrix,
 )
+from repro.soundness import rational
+from repro.soundness.fuzz import WIDEN
+from repro.soundness.rational import ldlt_psd_shift, shift_diagonal
 from repro.verifier import SOSVerifier
 
 
@@ -156,6 +160,150 @@ def test_find_psd_shift_picks_small_rung_for_tiny_negativity():
 def test_find_psd_shift_gives_up_on_strong_indefiniteness():
     Q = rationalize_matrix(-np.eye(2), None)
     assert find_psd_shift(Q, DEFAULT_DELTA_LADDER) is None
+
+
+# ----------------------------------------------------------------------
+# exact PSD witnesses: find_psd_shift vs the LDL^T-only ladder
+# ----------------------------------------------------------------------
+def _widened(Q):
+    """``Q`` scaled by ``WIDEN``: as PSD as before, wider than the grid,
+    so find_psd_shift decides it by witnesses."""
+    return [[q * WIDEN for q in row] for row in Q]
+
+
+def _wide_gram(seed, n=21):
+    """A PD Gram perturbed symmetrically by shares with a 400-bit
+    denominator, the shape residual absorption leaves in a slack Gram."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    Q = rationalize_matrix(A @ A.T / n + 0.1 * np.eye(n), None)
+    draw = random.Random(seed)
+    den = draw.getrandbits(400) | (1 << 399) | 1
+    for _ in range(30):
+        i, j = draw.randrange(n), draw.randrange(n)
+        share = Fraction(draw.randrange(-den, den), den << 20)
+        Q[i][j] += share
+        if i != j:
+            Q[j][i] += share
+    return Q
+
+
+def _below_psd(Q, excess):
+    """``Q`` shifted so its smallest eigenvalue is about ``-excess``."""
+    lam = np.linalg.eigvalsh(np.array(Q, dtype=float))[0]
+    return shift_diagonal(Q, -(Fraction(float(lam)) + excess))
+
+
+def _pd():
+    A = np.random.default_rng(4).normal(size=(6, 6))
+    Q = rationalize_matrix(A @ A.T + np.eye(6), None)
+    return _widened(Q), Fraction(0)
+
+
+def _rank_deficient():
+    # exact B B^T with rank 2 and a zero row: LDL^T ends on zero pivots
+    B = [[Fraction(v) for v in row]
+         for row in ([1, 2], [3, -1], [0, 0], [2, 5], [-4, 1])]
+    Q = [[sum(a * b for a, b in zip(ri, rj)) for rj in B] for ri in B]
+    return _widened(Q), Fraction(0)
+
+
+def _tiny_negativity():
+    Q, _ = _pd()
+    return _below_psd(Q, Fraction(1, 2**38)), Fraction(1, 2**36)
+
+
+def _grid_rounding_edge():
+    # 2**62 Q rounds to a singular PSD integer matrix, but Q itself is
+    # indefinite: the witness must charge the rounding error
+    one = Fraction(1)
+    Q = [[one, one], [one, one - Fraction(1, 2**70)]]
+    return _widened(Q), Fraction(1, 2**60)
+
+
+def _strongly_indefinite():
+    Q = rationalize_matrix([[1.0, 0.5, 0.0], [0.5, -1.0, 0.2],
+                            [0.0, 0.2, 2.0]], None)
+    return _widened(Q), None
+
+
+def _wide_pd():
+    return _wide_gram(0), Fraction(0)
+
+
+def _wide_tiny_negativity():
+    return _below_psd(_wide_gram(1), Fraction(1, 2**38)), Fraction(1, 2**36)
+
+
+PSD_FAMILIES = {
+    "pd": _pd,
+    "rank-deficient": _rank_deficient,
+    "tiny-negativity": _tiny_negativity,
+    "grid-rounding-edge": _grid_rounding_edge,
+    "strongly-indefinite": _strongly_indefinite,
+    "wide-pd": _wide_pd,
+    "wide-tiny-negativity": _wide_tiny_negativity,
+}
+
+
+@pytest.mark.parametrize("family", list(PSD_FAMILIES))
+def test_find_psd_shift_matches_ldlt_only_ladder(family):
+    Q, expected = PSD_FAMILIES[family]()
+    assert find_psd_shift(Q) == ldlt_psd_shift(Q) == expected
+
+
+@pytest.mark.parametrize("family", list(PSD_FAMILIES))
+def test_positive_witness_implies_ldlt_psd(family):
+    # on every rung, not only those the float gate would try; the first
+    # proved rung suffices (larger rungs only add to the diagonal)
+    Q, _ = PSD_FAMILIES[family]()
+    grid = rational._integer_grid(Q)
+    for delta in (Fraction(0), *DEFAULT_DELTA_LADDER):
+        if rational._grid_witness(grid, delta):
+            assert ldlt_psd(shift_diagonal(Q, delta))
+            break
+
+
+def test_wide_gram_is_decided_on_its_integer_grid(monkeypatch):
+    integer_inputs = []
+    real_ldlt = rational.ldlt_psd
+
+    def counting_ldlt(M):
+        integer_inputs.append(
+            all(q.denominator == 1 for row in M for q in row)
+        )
+        return real_ldlt(M)
+
+    monkeypatch.setattr(rational, "ldlt_psd", counting_ldlt)
+    assert find_psd_shift(_wide_gram(0)) == Fraction(0)
+    assert integer_inputs == [True]
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize(
+    "breakage", ["eigh-raises", "eigh-overflows", "float-overflow"]
+)
+def test_find_psd_shift_fails_open_without_float_eigenpair(
+    monkeypatch, breakage, wide
+):
+    Q = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1, 2**38)]]
+    if wide:
+        Q = _widened(Q)
+    if breakage == "eigh-raises":
+        def broken_eigh(M):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", broken_eigh)
+    elif breakage == "eigh-overflows":
+        # what LAPACK returns for entries near the float range's end
+        def broken_eigh(M):
+            return np.array([-np.inf, np.inf]), np.eye(2)
+
+        monkeypatch.setattr(np.linalg, "eigh", broken_eigh)
+    else:
+        Q[0][0] *= 10**400  # float() of it overflows
+    # no rung may be skipped: every one goes to exact LDL^T
+    assert find_psd_shift(Q) == Fraction(1, 2**36)
 
 
 def test_gram_polynomial_matches_float_expansion():
@@ -333,6 +481,27 @@ def _report_key(report):
     for cond in doc["conditions"]:
         cond.pop("elapsed_seconds", None)
     return doc
+
+
+def test_recheck_report_identical_under_ldlt_only_ladder(monkeypatch):
+    import repro.soundness.checker as checker_mod
+    from repro.benchmarks.systems import get_benchmark
+
+    spec = get_benchmark("C1")
+    problem = spec.make_problem()
+    res = SNBC(
+        problem, controller=spec.make_controller(),
+        learner_config=spec.learner_config(),
+        config=dataclasses.replace(
+            spec.snbc_config("smoke"), soundness_check=False
+        ),
+    ).run()
+    assert res.success
+    witnessed = check_verification(problem, res.verification)
+    monkeypatch.setattr(checker_mod, "find_psd_shift", ldlt_psd_shift)
+    reference = check_verification(problem, res.verification)
+    assert witnessed.ok
+    assert _report_key(witnessed) == _report_key(reference)
 
 
 def test_resume_re_emits_soundness_report_bit_identically(tmp_path):
