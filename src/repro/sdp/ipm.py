@@ -14,13 +14,22 @@ Kernels
 -------
 The per-iteration loop lives in :class:`_IPMState`.  It calls raw LAPACK
 (``dpotrf``/``dpotrs``/``dtrtrs``) instead of the scipy wrappers, whose
-per-call overhead dominates on the small blocks SOS programs produce;
-factors X and Z once per iteration for both line-search calls (the
-iterates do not change in between); and assembles each block's Schur
-contribution with two reshaped GEMMs instead of ``m`` batched 3-tensor
-matmuls.  Every kernel performs the float operations of the textbook
-scipy-wrapper loop in the same order, so results are bitwise identical
-to it; the test suite keeps that loop as a reference oracle.
+per-call overhead dominates on the small blocks SOS programs produce,
+and factors X and Z once per iteration for both line-search calls (the
+iterates do not change in between).  These kernels perform the float
+operations of the textbook scipy-wrapper loop in the same order, so
+results are bitwise identical to it; the test suite keeps that loop as
+a reference oracle.
+
+The Schur complement uses ``M_ij = <A_i, X A_j Z^{-1}>`` (``A_i``
+symmetric): per block two GEMMs form every ``X A_j Z^{-1}`` with the
+constraint index innermost, and one sparse product with the constraint
+rows (a CSR matrix over all blocks, in full ``n x n`` coordinates)
+contracts them.  The constraint rows of SOS programs are mostly zero
+(0.5% on C13's Lie condition), so this skips the symmetrization, the
+svec gather and the dense ``(m, s) @ (s, m)`` product.  It sums in a
+different order than the textbook formula, so it is tested against it
+to ``1e-12 * max|M|`` rather than bit for bit.
 
 Warm starts (opt-in via the ``warm_start`` argument, *not* bitwise)
 start from a previous solve's primal/dual point pushed back into the
@@ -32,15 +41,17 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import lapack as _lapack
 
 from repro.resilience.faults import fault_point, fired
 from repro.sdp.problem import PresolveInfo, SDPProblem
 from repro.sdp.result import SDPResult, SDPStatus
-from repro.sdp.svec import smat, smat_batch, svec, sym
+from repro.sdp.svec import smat, smat_stack, svec, svec_positions, sym
 from repro.sdp.trace import (
     DEFAULT_TRACE_CAPACITY,
     IPMTrace,
@@ -182,25 +193,59 @@ def _schur_regularization(M: np.ndarray, m: int) -> float:
 
 
 class _BlockData:
-    """Per-block constraint data used by the Schur assembly.
+    """Per-block constraint data, built once per solve from the (static)
+    svec constraint rows.
 
-    Built once per solve from the (static) svec constraint rows.
-    ``dense_h`` is the ``(n, m*n)`` horizontal concatenation
-    ``[A_1 | A_2 | ...]`` of the constraint matrices, so one GEMM
-    ``X @ dense_h`` computes every ``X A_i`` product.
+    ``svecs`` is the block's ``(m, s)`` slice of the svec constraint
+    matrix (the operators ``A`` and ``A^T``).  ``cols`` is the
+    ``(n, n*m)`` layout ``cols[r, s*m + j] = A_j[r, s]``, so one GEMM
+    ``X @ cols`` forms every ``X A_j`` with the constraint index
+    innermost.
     """
 
     def __init__(self, n: int, svec_rows: np.ndarray):
         self.n = n
         self.svecs = svec_rows  # (m, s)
-        m = svec_rows.shape[0]
-        if m:
-            self.dense_h = np.ascontiguousarray(
-                smat_batch(svec_rows, n).transpose(1, 0, 2).reshape(n, m * n)
-            )
-        else:
-            self.dense_h = np.zeros((n, 0))
-        self.norm = float(np.linalg.norm(svec_rows)) if m else 0.0
+        self.cols = smat_stack(svec_rows, n).reshape(n, n * svec_rows.shape[0])
+
+
+@lru_cache(maxsize=64)
+def _full_coordinates(
+    dims: Tuple[int, ...],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`svec_positions` over the concatenated svec coordinates of
+    blocks ``dims``, offset to the blocks' columns in
+    :func:`_constraint_csr`."""
+    upper, lower, scale = [], [], []
+    offset = 0
+    for n in dims:
+        u, lo, sc = svec_positions(n)
+        upper.append(u + offset)
+        lower.append(lo + offset)
+        scale.append(sc)
+        offset += n * n
+    return np.concatenate(upper), np.concatenate(lower), np.concatenate(scale)
+
+
+def _constraint_csr(A: np.ndarray, dims: Tuple[int, ...]) -> sp.csr_matrix:
+    """The svec constraint matrix ``A`` (m, S) as one ``(m, sum n_k^2)``
+    CSR matrix in full ``n x n`` coordinates: block ``k`` starts at
+    column ``sum_{l<k} n_l^2`` and holds ``A_j[r, c]`` at ``r * n_k + c``
+    (both triangles)."""
+    upper, lower, scale = _full_coordinates(tuple(dims))
+    m = A.shape[0]
+    j, t = np.nonzero(A)
+    vals = A[j, t] / scale[t]
+    off_diag = upper[t] != lower[t]
+    rows = np.concatenate([j, j[off_diag]])
+    pos = np.concatenate([upper[t], lower[t][off_diag]])
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    return sp.csr_matrix(
+        (np.concatenate([vals, vals[off_diag]])[order], pos[order], indptr),
+        shape=(m, sum(n * n for n in dims)),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +295,9 @@ def solve_sdp(
             )
             span.set_attr("status", result.status.value)
             return result
+        t_presolve = time.perf_counter()
         reduced, info = problem.presolved()
+        span.set_attr("t_presolve", time.perf_counter() - t_presolve)
         if info.inconsistent:
             span.set_attr("status", SDPStatus.INCONSISTENT.value)
             return SDPResult(
@@ -416,6 +463,11 @@ class _IPMState:
             s = n * (n + 1) // 2
             self.blocks.append(_BlockData(n, A_full[:, start : start + s]))
             start += s
+        # the constraint rows over all blocks in full n x n coordinates,
+        # and every X_k A_j Z_k^{-1} stacked in the same column order with
+        # the constraint index j innermost (filled per iteration)
+        self.A_csr = _constraint_csr(A_full, self.dims)
+        self.schur_products = np.empty((self.A_csr.shape[1], self.m))
         self.total_n = problem.total_dim
         self.norm_b = float(np.linalg.norm(self.b))
         self.norm_C = float(
@@ -486,6 +538,7 @@ class _IPMState:
     def _phase_residuals(self, rec: dict) -> bool:
         """Residuals, objectives and the termination tests; fills the
         head of the trace record.  Returns False when the solve ended."""
+        t0 = time.perf_counter()
         opts = self.opts
         self.rp = self.b - self._operator_A(self.X)
         ATy = self._operator_AT(self.y)
@@ -520,6 +573,7 @@ class _IPMState:
             self.iteration, mu, self.rel_gap, self.prim_res, self.dual_res,
             pobj,
         )
+        rec["t_residuals"] = time.perf_counter() - t0
 
         if not np.isfinite(mu) or mu < 0:
             self._stop(SDPStatus.NUMERICAL_ERROR, "mu became invalid")
@@ -573,27 +627,26 @@ class _IPMState:
             return False
         return True
 
-    def _schur_block(self, k: int, blk: _BlockData) -> np.ndarray:
-        """Block ``k``'s contribution to the Schur complement: every
-        ``X A_i Z^{-1}`` product from two reshaped GEMMs (each slice
-        dispatches to the same dgemm as a per-constraint matmul)."""
-        n, m = blk.n, self.m
-        T = (self.X[k] @ blk.dense_h).reshape(n, m, n).transpose(1, 0, 2)
-        U = (np.ascontiguousarray(T).reshape(m * n, n) @ self.Zinv[k]).reshape(
-            m, n, n
-        )
-        U = 0.5 * (U + np.transpose(U, (0, 2, 1)))
-        return svec(U) @ blk.svecs.T
-
     def _phase_schur_assembly(self, rec: dict) -> Optional[np.ndarray]:
-        """Assemble the Schur complement ``M_ij = tr(A_i X A_j Z^{-1})``."""
+        """Assemble the Schur complement ``M_ij = tr(A_i X A_j Z^{-1})``.
+
+        For symmetric ``A_i`` that is ``<A_i, X A_j Z^{-1}>``: per block,
+        one GEMM forms every ``X A_j`` and one batched GEMM multiplies by
+        ``Z^{-1}`` straight into :attr:`schur_products`; then one sparse
+        product with the constraint rows contracts all blocks at once.
+        """
         t0 = time.perf_counter()
         m = self.m
-        M = np.zeros((m, m))
-        for k, blk in enumerate(self.blocks):
-            if blk.n == 0 or blk.svecs.size == 0:
-                continue
-            M += self._schur_block(k, blk)
+        F = self.schur_products
+        offset = 0
+        for Xk, Zinv_k, blk in zip(self.X, self.Zinv, self.blocks):
+            n = blk.n
+            G = (Xk @ blk.cols).reshape(n, n, m)  # G[p, s, j] = (X A_j)[p, s]
+            np.matmul(
+                Zinv_k.T, G, out=F[offset : offset + n * n].reshape(n, n, m)
+            )
+            offset += n * n
+        M = self.A_csr @ F
         M = 0.5 * (M + M.T)
         abs_diag = np.abs(np.diag(M))
         max_diag = float(np.max(abs_diag)) if m else 0.0
@@ -721,7 +774,9 @@ class _IPMState:
 
             # predictor (affine scaling)
             K_aff = [np.zeros((n, n)) for n in self.dims]
+            t_dir = time.perf_counter()
             dX_aff, dy_aff, dZ_aff = self._direction(M, M_factor, K_aff)
+            rec["t_direction"] = time.perf_counter() - t_dir
             if fired("sdp.ipm.direction"):
                 dy_aff = np.full_like(dy_aff, np.nan)
             if not all(
@@ -750,7 +805,9 @@ class _IPMState:
                 - dX_aff[k] @ dZ_aff[k]
                 for k in range(self.n_blocks)
             ]
+            t_dir = time.perf_counter()
             dX, dy, dZ = self._direction(M, M_factor, K_corr)
+            rec["t_direction"] += time.perf_counter() - t_dir
             if not all(
                 np.all(np.isfinite(d)) for d in dX + dZ
             ) or not np.all(np.isfinite(dy)):

@@ -9,6 +9,10 @@ import numpy as np
 
 from repro.sdp.svec import svec, svec_dim, sym
 
+#: rows per block of the presolve's blocked Gram-Schmidt: a GEMM size,
+#: not a tuning knob
+PRESOLVE_BLOCK = 64
+
 
 class SDPProblem:
     """A block-diagonal standard-form SDP.
@@ -164,38 +168,71 @@ class SDPProblem:
         frequently rank-deficient; the Schur complement in the IPM needs a
         full-row-rank system.  Returns a new problem with an independent row
         subset plus bookkeeping about dropped/inconsistent rows.
+
+        Rows are tested greedily in order: row ``i`` is kept when its
+        distance to the span of the rows kept before it exceeds
+        ``tol * scale``; a dropped row whose right-hand side is not the
+        same combination of the kept ones marks the system inconsistent.
+        The distances come from blocked classical Gram-Schmidt with
+        reorthogonalization (CGS2): :data:`PRESOLVE_BLOCK` rows at a time
+        are projected twice onto the kept orthonormal basis by GEMMs,
+        then tested in order against the rows newly kept in their block
+        (again twice).  Projecting twice keeps the basis orthogonal to
+        working precision, so a kept set never exceeds the svec
+        dimension.  The reduced problem holds the *original* kept rows.
         """
         A = self.constraint_matrix()
         b = self.rhs()
-        m = A.shape[0]
+        m, S = A.shape
         if m == 0:
             return self, PresolveInfo(kept_rows=[], dropped_rows=[], inconsistent=False)
-        # Greedy row selection by rank via QR on the transpose.
+        scale = max(1.0, float(np.max(np.abs(A))))
+        threshold = tol * scale
+        rhs_tol = 1e-6 * max(1.0, float(np.max(np.abs(b))))
+        # orthonormal basis of the kept row space (first k rows), with the
+        # rhs carried through the same projections
+        capacity = min(m, S)
+        Q = np.empty((capacity, S))
+        beta = np.empty(capacity)
+        k = 0
         kept: List[int] = []
-        basis: List[np.ndarray] = []  # orthonormal basis of kept row space
         dropped: List[int] = []
         inconsistent = False
-        scale = max(1.0, float(np.max(np.abs(A))))
-        for i in range(m):
-            r = A[i].copy()
-            rhs_i = b[i]
-            for q, bi in basis:
-                proj = q @ r
-                r = r - proj * q
-                rhs_i = rhs_i - proj * bi
-            nrm = np.linalg.norm(r)
-            if nrm > tol * scale:
-                basis.append((r / nrm, rhs_i / nrm))
-                kept.append(i)
-            else:
-                dropped.append(i)
-                if abs(rhs_i) > 1e-6 * max(1.0, float(np.max(np.abs(b)))):
-                    inconsistent = True
+        for start in range(0, m, PRESOLVE_BLOCK):
+            R = A[start : start + PRESOLVE_BLOCK].copy()
+            rhs = b[start : start + PRESOLVE_BLOCK].copy()
+            if k:
+                for _ in range(2):
+                    P = R @ Q[:k].T
+                    R -= P @ Q[:k]
+                    rhs -= P @ beta[:k]
+            k_block = k
+            for j in range(R.shape[0]):
+                r, rhs_j = R[j], rhs[j]
+                if k > k_block:
+                    for _ in range(2):
+                        p = Q[k_block:k] @ r
+                        r = r - p @ Q[k_block:k]
+                        rhs_j = rhs_j - p @ beta[k_block:k]
+                nrm = float(np.linalg.norm(r))
+                # a kept set of S rows spans the whole space: any further
+                # residual is rounding noise
+                if nrm > threshold and k < capacity:
+                    Q[k] = r / nrm
+                    beta[k] = rhs_j / nrm
+                    k += 1
+                    kept.append(start + j)
+                else:
+                    dropped.append(start + j)
+                    if abs(rhs_j) > rhs_tol:
+                        inconsistent = True
         reduced = SDPProblem(self.block_dims)
         reduced.C = [c.copy() for c in self.C]
         for i in kept:
             reduced._A_rows.append(self._A_rows[i])
             reduced._b.append(self._b[i])
+        # seed the memo: the IPM reads the stacked matrix, not the row lists
+        reduced._A_matrix = A[kept] if dropped else A
         return reduced, PresolveInfo(kept, dropped, inconsistent)
 
 

@@ -6,8 +6,9 @@ Frobenius inner product becomes an ordinary dot product:
 
     <A, B> = svec(A) . svec(B).
 
-All constraint data inside the interior-point solver lives in svec
-coordinates, which turns Schur-complement assembly into dense matmuls.
+Constraint data lives in svec coordinates (:class:`SDPProblem` rows are
+svecs); the interior-point solver's Schur assembly expands it to full
+``n x n`` coordinates with :func:`smat_stack` and :func:`svec_positions`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,15 @@ def _svec_scale(n: int) -> np.ndarray:
     rows, cols = _triu_indices(n)
     scale = np.where(rows == cols, 1.0, _SQRT2)
     return scale
+
+
+def svec_positions(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each svec coordinate of an ``n x n`` matrix: its flat index
+    ``r * n + c`` in the upper triangle, ``c * n + r`` in the lower
+    (equal on the diagonal), and its scale (``sqrt(2)`` off the
+    diagonal), so ``smat(v).ravel()[upper] == v / scale``."""
+    rows, cols = _triu_indices(n)
+    return rows * n + cols, cols * n + rows, _svec_scale(n)
 
 
 def svec(mat: np.ndarray) -> np.ndarray:
@@ -69,9 +79,17 @@ def smat(vec: np.ndarray, n: int) -> np.ndarray:
 def smat_batch(vecs: np.ndarray, n: int) -> np.ndarray:
     """Batched :func:`smat`: rebuild ``(m, n, n)`` matrices from ``(m, s)``.
 
-    One fancy-index scatter instead of ``m`` python-level calls; each row
-    produces bitwise the same matrix as ``smat(row, n)`` (same division by
-    the same scale vector, same placements).
+    A view of :func:`smat_stack` with the batch index first; each
+    ``[j]`` is bitwise ``smat(vecs[j], n)``.
+    """
+    return smat_stack(vecs, n).transpose(2, 0, 1)
+
+
+def smat_stack(vecs: np.ndarray, n: int) -> np.ndarray:
+    """Batched :func:`smat` with the batch index last: ``(n, n, m)`` from
+    ``(m, s)``, entry ``[r, c, j] = smat(vecs[j], n)[r, c]`` (bitwise:
+    the same division by the same scale vector, the same placements).
+    One fancy-index scatter of whole rows of ``vecs.T``.
     """
     vecs = np.asarray(vecs, dtype=float)
     if vecs.ndim != 2 or vecs.shape[1] != svec_dim(n):
@@ -80,10 +98,10 @@ def smat_batch(vecs: np.ndarray, n: int) -> np.ndarray:
             f"got {vecs.shape}"
         )
     rows, cols = _triu_indices(n)
-    vals = vecs / _svec_scale(n)
-    out = np.zeros((vecs.shape[0], n, n))
-    out[:, rows, cols] = vals
-    out[:, cols, rows] = vals
+    vals = (vecs / _svec_scale(n)).T
+    out = np.zeros((n, n, vecs.shape[0]))
+    out[rows, cols] = vals
+    out[cols, rows] = vals
     return out
 
 

@@ -31,12 +31,13 @@ Each record is a plain dict (JSON-ready) with the keys:
 ``t``
     Seconds since the start of the iteration loop (wall-clock; excluded
     from determinism comparisons).
-``t_z_factor`` / ``t_schur_assembly`` / ``t_schur_factor`` / ``t_line_search``
+``t_residuals`` / ``t_z_factor`` / ``t_schur_assembly`` / ``t_schur_factor`` / ``t_direction`` / ``t_line_search``
     Wall-clock seconds spent in each solver sub-phase of the iteration
     (``nan`` when the iteration broke before reaching the phase; also
-    excluded from determinism comparisons).  These feed the "IPM
-    sub-phases" section of the telemetry report CLI, attributing time
-    *inside* the solve instead of to ``ipm.solve`` as a whole.
+    excluded from determinism comparisons).  ``t_direction`` and
+    ``t_line_search`` sum the predictor and corrector calls.  These feed
+    the "IPM sub-phases" section of the telemetry report CLI, attributing
+    time *inside* the solve instead of to ``ipm.solve`` as a whole.
 
 :func:`classify_convergence` reduces a record sequence to one of
 ``healthy`` / ``stalling`` / ``diverging`` / ``ill_conditioned`` (or
@@ -108,9 +109,11 @@ def make_record(
         "schur_cholesky_ok": True,
         "schur_diag_ratio": float("nan"),
         "t": float(t),
+        "t_residuals": float("nan"),
         "t_z_factor": float("nan"),
         "t_schur_assembly": float("nan"),
         "t_schur_factor": float("nan"),
+        "t_direction": float("nan"),
         "t_line_search": float("nan"),
     }
 

@@ -111,8 +111,8 @@ def span_aggregates(
 
 #: solver sub-phase keys in per-iteration IPM trace records, in
 #: iteration order (see :mod:`repro.sdp.trace`)
-IPM_SUBPHASES = ("t_z_factor", "t_schur_assembly", "t_schur_factor",
-                 "t_line_search")
+IPM_SUBPHASES = ("t_residuals", "t_z_factor", "t_schur_assembly",
+                 "t_schur_factor", "t_direction", "t_line_search")
 
 
 def ipm_subphase_totals(

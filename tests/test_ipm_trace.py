@@ -241,6 +241,26 @@ def test_solve_sdp_emits_ipm_trace_event():
     assert spans and spans[0]["attrs"]["convergence"] == "healthy"
 
 
+def test_solve_sdp_times_every_subphase():
+    sink = InMemorySink()
+    configure(sink)
+    try:
+        res = solve_sdp(_min_trace_problem())
+    finally:
+        disable()
+    phases = ("t_residuals", "t_z_factor", "t_schur_assembly",
+              "t_schur_factor", "t_direction", "t_line_search")
+    # every iteration but the converged last one runs every sub-phase
+    for rec in res.ipm_trace[:-1]:
+        for key in phases:
+            assert math.isfinite(rec[key]) and rec[key] >= 0.0, key
+    last = res.ipm_trace[-1]
+    assert math.isfinite(last["t_residuals"])
+    assert math.isnan(last["t_direction"])
+    t_presolve = sink.spans("sdp.solve")[0]["attrs"]["t_presolve"]
+    assert math.isfinite(t_presolve) and t_presolve >= 0.0
+
+
 def test_solve_sdp_counts_convergence_metric():
     sink = InMemorySink()
     tel = configure(sink)

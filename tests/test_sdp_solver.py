@@ -1,8 +1,10 @@
 """Tests for the interior-point SDP solver on problems with known answers.
 
-Also home of the solver's reference oracle: the textbook IPM kernels
-over scipy's wrappers, which the raw-LAPACK/GEMM kernels must match bit
-for bit.
+Also home of the solver's reference oracles: the textbook IPM kernels
+over scipy's wrappers, which the raw-LAPACK kernels must match bit for
+bit; the textbook per-pair Schur complement, which the sparse Schur
+contraction must match to a stated tolerance; and the row-by-row
+Gram-Schmidt presolve, whose kept rows the blocked presolve must match.
 """
 
 import numpy as np
@@ -16,7 +18,9 @@ from repro.sdp import (
     solve_sdp,
 )
 from repro.sdp import ipm
-from repro.sdp.svec import smat_batch, svec, sym
+from repro.sdp import problem as problem_mod
+from repro.sdp.svec import smat_batch, sym
+from repro.sdp.trace import make_record
 
 
 def unit(n, i, j):
@@ -194,9 +198,11 @@ def test_constraint_matrix_and_split():
 # solver kernels vs the reference oracle, warm starts
 # ----------------------------------------------------------------------
 class _ReferenceIPMState(ipm._IPMState):
-    """The IPM loop over scipy's Cholesky wrappers and per-block
-    batched matmuls: the kernels the raw-LAPACK/GEMM path replaced, kept
-    here as the oracle that path must match bit for bit."""
+    """The IPM loop over scipy's Cholesky wrappers: the kernels the
+    raw-LAPACK path replaced, kept here as the oracle that path must
+    match bit for bit.  The Schur assembly is shared (it reorders float
+    sums, so it has its own tolerance test against the textbook
+    formula: ``test_schur_assembly_matches_textbook_*``)."""
 
     def _phase_z_factor(self, rec):
         self.Zinv = []
@@ -209,12 +215,6 @@ class _ReferenceIPMState(ipm._IPMState):
                 return False
             self.Zinv.append(cho_solve(cf, np.eye(Zk.shape[0])))
         return True
-
-    def _schur_block(self, k, blk):
-        dense = smat_batch(blk.svecs, blk.n)
-        U = self.X[k][None, :, :] @ dense @ self.Zinv[k][None, :, :]
-        U = 0.5 * (U + np.transpose(U, (0, 2, 1)))
-        return svec(U) @ blk.svecs.T
 
     def _phase_schur_factor(self, M, rec):
         jitter = ipm._schur_regularization(M, self.m)
@@ -368,3 +368,270 @@ def test_smat_batch_matches_scalar_smat():
     assert out.shape == (4, n, n)
     for k, A in enumerate(mats):
         assert np.array_equal(out[k], smat(vecs[k], n))
+
+
+# ----------------------------------------------------------------------
+# Schur assembly vs the textbook per-pair formula
+# ----------------------------------------------------------------------
+def _random_pd(n, rng):
+    G = rng.normal(size=(n, n))
+    return G @ G.T + n * np.eye(n)
+
+
+def _assert_schur_matches_textbook(prob, seed):
+    """The kernel's ``M`` against ``tr(A_i X A_j Z^{-1})`` pair by pair,
+    at random interior X and Z: the sparse contraction reorders float
+    sums, so agreement is to ``1e-12 * max|M|``, not bitwise."""
+    state = ipm._IPMState(prob, ipm.InteriorPointOptions())
+    rng = np.random.default_rng(seed)
+    state.X = [_random_pd(n, rng) for n in state.dims]
+    state.Z = [_random_pd(n, rng) for n in state.dims]
+    rec = make_record(1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, t=0.0)
+    assert state._phase_z_factor(rec)
+    M = state._phase_schur_assembly(rec)
+    m = prob.n_constraints
+    ref = np.zeros((m, m))
+    parts = prob.split_svec(prob.constraint_matrix().T)
+    for part, n, Xk, Zk in zip(parts, state.dims, state.X, state.Z):
+        Ab = smat_batch(part.T, n)
+        Zinv = np.linalg.inv(Zk)
+        for i in range(m):
+            for j in range(m):
+                ref[i, j] += np.trace(Ab[i] @ Xk @ Ab[j] @ Zinv)
+    assert M.shape == (m, m)
+    assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(M))
+
+
+def test_schur_assembly_matches_textbook_dense_single_block():
+    _assert_schur_matches_textbook(_random_feasible_sdp(7, 11, 30), seed=1)
+
+
+def test_schur_assembly_matches_textbook_mixed_blocks():
+    rng = np.random.default_rng(31)
+    dims = [1, 3, 6, 2]
+    prob = SDPProblem(dims)
+    for i in range(14):
+        blocks = []
+        for k, n in enumerate(dims):
+            if (i + k) % 3 == 0:
+                blocks.append(None)  # this row leaves block k empty
+            else:
+                blocks.append(sym(rng.normal(size=(n, n))))
+        prob.add_constraint(blocks, float(rng.normal()))
+    _assert_schur_matches_textbook(prob, seed=2)
+
+
+# ----------------------------------------------------------------------
+# presolve: the blocked CGS2 keeps the rows the row-by-row loop kept
+# ----------------------------------------------------------------------
+def _reference_presolve(prob, tol=1e-10):
+    """The row-by-row modified Gram-Schmidt presolve the blocked CGS2
+    replaced: (kept_rows, dropped_rows, inconsistent)."""
+    A = prob.constraint_matrix()
+    b = prob.rhs()
+    kept, dropped, basis = [], [], []
+    inconsistent = False
+    scale = max(1.0, float(np.max(np.abs(A))))
+    for i in range(A.shape[0]):
+        r = A[i].copy()
+        rhs_i = b[i]
+        for q, bi in basis:
+            proj = q @ r
+            r = r - proj * q
+            rhs_i = rhs_i - proj * bi
+        nrm = np.linalg.norm(r)
+        if nrm > tol * scale:
+            basis.append((r / nrm, rhs_i / nrm))
+            kept.append(i)
+        else:
+            dropped.append(i)
+            if abs(rhs_i) > 1e-6 * max(1.0, float(np.max(np.abs(b)))):
+                inconsistent = True
+    return kept, dropped, inconsistent
+
+
+PRESOLVE_BLOCKS = (1, 3, problem_mod.PRESOLVE_BLOCK)
+
+
+def _assert_presolve_matches_reference(probs, monkeypatch):
+    expected = [_reference_presolve(p) for p in probs]
+    for block in PRESOLVE_BLOCKS:
+        monkeypatch.setattr(problem_mod, "PRESOLVE_BLOCK", block)
+        for prob, (kept, dropped, inconsistent) in zip(probs, expected):
+            reduced, info = prob.presolved()
+            assert info.kept_rows == kept, (block, prob.n_constraints)
+            assert info.dropped_rows == dropped
+            assert info.inconsistent == inconsistent
+            # the reduced problem holds the original rows, memo seeded
+            assert reduced.n_constraints == len(kept)
+            assert np.array_equal(
+                reduced.constraint_matrix(), prob.constraint_matrix()[kept]
+            )
+            assert np.array_equal(reduced.rhs(), prob.rhs()[kept])
+
+
+def _svec_problem(A, b, n):
+    prob = SDPProblem([n])
+    prob.add_constraints_from_matrix(np.asarray(A, float), np.asarray(b, float))
+    return prob
+
+
+def _rank_deficient_families():
+    """Exactly rank-deficient constraint sets (integer data, so every
+    dependent row is dependent to the last bit)."""
+    rng = np.random.default_rng(40)
+    n, S = 4, 10
+    base = rng.integers(-3, 4, size=(6, S)).astype(float)
+    x = rng.integers(-2, 3, size=S).astype(float)
+    fams = {}
+    # duplicate rows interleaved with fresh ones
+    A = np.vstack([base[0], base[1], base[0], base[2], base[1], base[3]])
+    fams["duplicates"] = (A, A @ x)
+    # small-integer combinations of earlier rows
+    rows = list(base[:4])
+    for _ in range(5):
+        coef = rng.integers(-3, 4, size=len(rows)).astype(float)
+        rows.append(coef @ np.array(rows))
+    A = np.array(rows)
+    fams["combinations"] = (A, A @ x)
+    # zero rows (first, middle, last)
+    A = np.vstack([np.zeros(S), base[0], np.zeros(S), base[1], np.zeros(S)])
+    fams["zero_rows"] = (A, A @ x)
+    # more rows than the svec dimension
+    A = rng.integers(-3, 4, size=(25, S)).astype(float)
+    fams["m_gt_S"] = (A, A @ x)
+    # a dependent row whose rhs is not the same combination
+    A = np.vstack([base[0], base[1], base[0] + 2.0 * base[1]])
+    b = A @ x
+    b[2] += 1.0
+    fams["inconsistent"] = (A, b)
+    return {k: _svec_problem(A, b, n) for k, (A, b) in fams.items()}
+
+
+def test_presolve_matches_reference_on_rank_deficient_families(monkeypatch):
+    fams = _rank_deficient_families()
+    _assert_presolve_matches_reference(list(fams.values()), monkeypatch)
+    info = {k: p.presolved()[1] for k, p in fams.items()}
+    assert info["duplicates"].dropped_rows == [2, 4]
+    assert info["combinations"].kept_rows == [0, 1, 2, 3]
+    assert info["zero_rows"].kept_rows == [1, 3]
+    assert len(info["m_gt_S"].kept_rows) == 10
+    assert info["inconsistent"].inconsistent
+    assert not any(info[k].inconsistent for k in info if k != "inconsistent")
+
+
+def _capture_condition_sdps(run):
+    """Every SDP built while ``run()`` executes (captured at presolve)."""
+    captured = []
+    original = SDPProblem.presolved
+
+    def recording(self, *args, **kwargs):
+        captured.append(self)
+        return original(self, *args, **kwargs)
+
+    SDPProblem.presolved = recording
+    try:
+        run()
+    finally:
+        SDPProblem.presolved = original
+    return captured
+
+
+def _snbc_condition_sdps(name, scale, **config):
+    import dataclasses
+
+    from repro.benchmarks import get_benchmark
+    from repro.cegis import SNBC
+
+    spec = get_benchmark(name)
+    snbc = SNBC(
+        spec.make_problem(),
+        controller=spec.make_controller(),
+        learner_config=spec.learner_config(),
+        config=dataclasses.replace(spec.snbc_config(scale), **config),
+    )
+    return _capture_condition_sdps(snbc.run)
+
+
+@pytest.fixture(scope="module")
+def smoke_condition_sdps():
+    """Every condition SDP the verify calls of a smoke-scale SNBC run
+    build, for C1, C6, C9 and Q1."""
+    return {
+        name: _snbc_condition_sdps(name, "smoke", soundness_check=False)
+        for name in ("C1", "C6", "C9", "Q1")
+    }
+
+
+def test_presolve_matches_reference_on_condition_sdps(
+    smoke_condition_sdps, monkeypatch
+):
+    for name, probs in smoke_condition_sdps.items():
+        assert probs, name
+        _assert_presolve_matches_reference(probs, monkeypatch)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["C12", "C13"])
+def test_presolve_matches_reference_on_paper_scale_lie_sdp(name, monkeypatch):
+    probs = _snbc_condition_sdps(
+        name, "paper", max_iterations=1, soundness_check=False
+    )
+    m_lie = max(p.n_constraints for p in probs)
+    lie = [p for p in probs if p.n_constraints == m_lie]
+    assert m_lie > 300 and lie
+    _assert_presolve_matches_reference(lie, monkeypatch)
+
+
+def test_schur_assembly_matches_textbook_sos_rows(smoke_condition_sdps):
+    # SOS-shaped sparse rows: C6's conditions, Lie included
+    probs = smoke_condition_sdps["C6"]
+    assert max(p.n_constraints for p in probs) > 20
+    for seed, prob in enumerate(probs):
+        _assert_schur_matches_textbook(prob.presolved()[0], seed=seed)
+
+
+def _near_dependent_family(seed, S=10, m=20):
+    """Rows that are small-integer combinations of earlier rows plus
+    1e-13..1e-7 noise, with a fresh integer row now and then."""
+    rng = np.random.default_rng(seed)
+    rows = list(rng.integers(-3, 4, size=(int(rng.integers(1, 4)), S)).astype(float))
+    while len(rows) < m:
+        if rng.random() < 0.3:
+            rows.append(rng.integers(-3, 4, size=S).astype(float))
+            continue
+        prev = np.array(rows)
+        coef = rng.integers(-2, 3, size=len(prev)).astype(float)
+        noise = 10.0 ** rng.uniform(-13, -7)
+        rows.append(coef @ prev / max(1.0, np.abs(coef).sum())
+                    + noise * rng.normal(size=S))
+    A = np.array(rows)
+    return A, A @ rng.normal(size=S)
+
+
+def _distance_to_span(r, rows):
+    """Distance from ``r`` to the row span of ``rows`` through a
+    Householder QR, projected twice."""
+    if len(rows) == 0:
+        return float(np.linalg.norm(r))
+    Q, _ = np.linalg.qr(np.asarray(rows).T)
+    for _ in range(2):
+        r = r - Q @ (Q.T @ r)
+    return float(np.linalg.norm(r))
+
+
+def test_presolve_never_keeps_more_rows_than_the_svec_dimension():
+    S, tol = 10, 1e-10
+    reference_overflows = 0
+    for seed in range(40):
+        A, b = _near_dependent_family(seed, S=S)
+        prob = _svec_problem(A, b, 4)
+        kept = prob.presolved(tol=tol)[1].kept_rows
+        assert len(kept) <= min(A.shape[0], S), seed
+        scale = max(1.0, float(np.max(np.abs(A))))
+        for t, i in enumerate(kept):
+            assert _distance_to_span(A[i], A[kept[:t]]) > tol * scale, (seed, i)
+        reference_overflows += len(_reference_presolve(prob, tol)[0]) > S
+    # the row-by-row loop loses orthogonality on these families and
+    # keeps a dependent set (the defect the blocked CGS2 fixes)
+    assert reference_overflows > 0

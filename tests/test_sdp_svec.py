@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sdp import smat, svec, svec_dim
-from repro.sdp.svec import sym
+from repro.sdp.svec import smat_stack, svec_positions, sym
 
 
 def random_sym(n, seed=0):
@@ -36,6 +36,26 @@ def test_svec_batch():
     out = svec(mats)
     assert out.shape == (5, svec_dim(3))
     np.testing.assert_allclose(out[2], svec(mats[2]))
+
+
+def test_smat_stack_is_smat_with_batch_index_last():
+    vecs = np.stack([svec(random_sym(4, s)) for s in range(6)])
+    out = smat_stack(vecs, 4)
+    assert out.shape == (4, 4, 6)
+    for j in range(6):
+        assert np.array_equal(out[:, :, j], smat(vecs[j], 4))
+    with pytest.raises(ValueError):
+        smat_stack(vecs[:, :9], 4)
+
+
+def test_svec_positions_index_both_triangles():
+    n = 5
+    v = svec(random_sym(n, seed=3))
+    upper, lower, scale = svec_positions(n)
+    flat = smat(v, n).ravel()
+    assert np.array_equal(flat[upper], v / scale)
+    assert np.array_equal(flat[lower], flat[upper])
+    assert sorted(set(upper) | set(lower)) == list(range(n * n))
 
 
 def test_svec_rejects_nonsquare():
