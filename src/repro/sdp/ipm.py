@@ -31,6 +31,24 @@ svec gather and the dense ``(m, s) @ (s, m)`` product.  It sums in a
 different order than the textbook formula, so it is tested against it
 to ``1e-12 * max|M|`` rather than bit for bit.
 
+Stop tests
+----------
+Each iteration first checks its iterate, in this order:
+
+- ``mu`` non-finite or negative: ``NUMERICAL_ERROR``;
+- relative gap and both residuals below ``tolerance``: ``OPTIMAL``;
+- a dual Farkas ray, ``b^T y > 0`` and ``A^T y <= tolerance *
+  ||A^T y||_F * I`` on every block (a Cholesky per block decides it):
+  ``PRIMAL_INFEASIBLE``, with ``y`` as the certificate;
+- the primal objective below ``-infeasibility_threshold * (1 + |b|)``
+  with a primal residual below ``1e-4``: ``DUAL_INFEASIBLE``.
+
+The ray test only reads the iterate, so a solve it does not stop
+follows the same path bit for bit.  It asks nothing of the dual
+residual: an infeasible-start dual residual grows with ``y`` along the
+ray, so requiring a small one would let the solve run on to
+``max_iterations`` or float overflow.
+
 Warm starts (opt-in via the ``warm_start`` argument, *not* bitwise)
 start from a previous solve's primal/dual point pushed back into the
 interior; see :class:`WarmStart`.
@@ -71,7 +89,9 @@ class InteriorPointOptions:
     tolerance: float = 1e-8
     #: fraction-to-boundary factor keeping iterates strictly interior
     step_fraction: float = 0.98
-    #: dual objective beyond which the primal is declared infeasible
+    #: primal objective magnitude (relative to ``1 + |b|``) beyond which
+    #: the dual is declared infeasible; primal infeasibility is decided
+    #: by a checked dual ray instead (see ``_IPMState._dual_ray``)
     infeasibility_threshold: float = 1e8
     #: initial scaling floor for X and Z
     init_scale: float = 10.0
@@ -136,7 +156,8 @@ class WarmStart:
 # ----------------------------------------------------------------------
 def _chol_lower_or_none(M: np.ndarray) -> Optional[np.ndarray]:
     """Lower Cholesky factor, or ``None`` when ``M`` is not PD / not
-    finite (the line search treats both as a zero step)."""
+    finite (the line search treats both as a zero step, the dual-ray
+    test as "not a ray")."""
     if not np.all(np.isfinite(M)):
         return None
     c, info = _lapack.dpotrf(M, lower=1, clean=1)
@@ -585,13 +606,10 @@ class _IPMState:
         ):
             self._stop(SDPStatus.OPTIMAL, "converged")
             return False
-        if (
-            dobj > opts.infeasibility_threshold * (1.0 + self.norm_C)
-            and self.dual_res < 1e-4
-        ):
+        if dobj > 0.0 and self._dual_ray(ATy):
             self._stop(
                 SDPStatus.PRIMAL_INFEASIBLE,
-                "dual objective diverging; primal likely infeasible",
+                "dual ray certifies primal infeasibility",
             )
             return False
         if (
@@ -603,6 +621,28 @@ class _IPMState:
                 "primal objective diverging; dual likely infeasible",
             )
             return False
+        return True
+
+    def _dual_ray(self, ATy: Sequence[np.ndarray]) -> bool:
+        """Whether ``y`` (with ``b^T y > 0``, checked by the caller) is a
+        Farkas ray: ``A^T y <= tolerance * ||A^T y||_F * I`` on every
+        block.  Then any PSD ``X`` with ``A(X) = b`` would have
+        ``0 < b^T y = <A^T y, X> <= tolerance * ||A^T y||_F * tr(X)``, so
+        no feasible ``X`` of moderate trace exists.
+
+        Each block is decided by a Cholesky of ``bound * I - (A^T y)_k``;
+        the necessary ``tr((A^T y)_k) <= n_k * bound`` comes first, so
+        iterates of feasible solves rarely reach a factorization.
+        """
+        bound = self.opts.tolerance * float(
+            np.sqrt(sum(np.vdot(a, a) for a in ATy))
+        )
+        for a in ATy:
+            n = a.shape[0]
+            if np.trace(a) > n * bound:
+                return False
+            if _chol_lower_or_none(bound * np.eye(n) - a) is None:
+                return False
         return True
 
     def _phase_z_factor(self, rec: dict) -> bool:
@@ -868,7 +908,8 @@ class _IPMState:
             iterations=self.iteration,
             message=message,
             convergence_class=classify_convergence(
-                self.trace.records(), tolerance=self.opts.tolerance
+                self.trace.records(), tolerance=self.opts.tolerance,
+                status=status,
             ),
             ipm_trace=self.trace.records(),
             ipm_trace_dropped=self.trace.dropped,

@@ -51,6 +51,8 @@ import math
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.sdp.result import SDPStatus
+
 #: default ring-buffer capacity; covers every non-pathological solve
 #: (the IPM default ``max_iterations`` is 100, typical solves take < 40)
 DEFAULT_TRACE_CAPACITY = 128
@@ -157,31 +159,37 @@ def _finite(values: Sequence[float]) -> List[float]:
 def classify_convergence(
     records: Sequence[Dict[str, Any]],
     tolerance: float = 1e-8,
+    status: Optional[SDPStatus] = None,
 ) -> str:
-    """Classify an IPM iteration-record sequence.
+    """Classify an IPM iteration-record sequence; ``status`` is how the
+    solve ended, when known.
 
     The rules are checked in severity order — the first match wins:
 
     1. ``unknown`` — no records (solve failed before the first iteration).
-    2. ``ill_conditioned`` — a Z or Schur Cholesky failed, the Schur
+    2. ``diverging`` — the solve ended ``PRIMAL_INFEASIBLE``: its dual
+       iterate runs along a Farkas ray, whatever ``mu`` did.
+    3. ``ill_conditioned`` — a Z or Schur Cholesky failed, the Schur
        diagonal ratio exceeded :data:`ILL_CONDITIONED_DIAG_RATIO`, or the
        final ``mu`` is non-finite/negative.
-    3. ``healthy`` — the final record meets ``tolerance`` on gap and both
+    4. ``healthy`` — the final record meets ``tolerance`` on gap and both
        residuals (the solve converged; nothing else matters).
-    4. ``diverging`` — ``mu`` grew by :data:`DIVERGENCE_MU_GROWTH` over
+    5. ``diverging`` — ``mu`` grew by :data:`DIVERGENCE_MU_GROWTH` over
        its running minimum without returning (the iterates are moving
        away from the central path).
-    5. ``stalling`` — the trailing steps collapsed below
+    6. ``stalling`` — the trailing steps collapsed below
        :data:`STALL_STEP_FLOOR`, or the geometric per-iteration ``mu``
        decay over the trailing window is slower than
        :data:`STALL_MU_DECAY` while the gap is still above tolerance.
-    6. ``healthy`` — otherwise (still making progress).
+    7. ``healthy`` — otherwise (still making progress).
     """
     if not records:
         return "unknown"
+    if status is SDPStatus.PRIMAL_INFEASIBLE:
+        return "diverging"
     last = records[-1]
 
-    # -- rule 2: numerical breakdown ------------------------------------
+    # -- rule 3: numerical breakdown ------------------------------------
     for rec in records:
         if not rec.get("z_cholesky_ok", True) or not rec.get("schur_cholesky_ok", True):
             return "ill_conditioned"
@@ -192,7 +200,7 @@ def classify_convergence(
     if not math.isfinite(last_mu) or last_mu < 0:
         return "ill_conditioned"
 
-    # -- rule 3: converged ---------------------------------------------
+    # -- rule 4: converged ---------------------------------------------
     if (
         float(last.get("rel_gap", math.inf)) < tolerance
         and float(last.get("primal_residual", math.inf)) < tolerance
@@ -202,13 +210,13 @@ def classify_convergence(
 
     mus = _finite([r.get("mu", float("nan")) for r in records])
 
-    # -- rule 4: diverging ---------------------------------------------
+    # -- rule 5: diverging ---------------------------------------------
     if len(mus) >= 3:
         running_min = min(mus[:-1])
         if running_min > 0 and mus[-1] > DIVERGENCE_MU_GROWTH * running_min:
             return "diverging"
 
-    # -- rule 5: stalling ----------------------------------------------
+    # -- rule 6: stalling ----------------------------------------------
     window = min(3, len(records))
     tail = records[-window:]
     tail_steps = [

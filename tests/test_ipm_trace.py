@@ -158,6 +158,26 @@ def test_classifier_severity_order_breakdown_beats_convergence():
     assert classify_convergence(records) == "ill_conditioned"
 
 
+def test_classifier_certified_infeasible_is_diverging():
+    # trajectories that alone read ill_conditioned, healthy and stalling:
+    # a solve stopped at a dual ray is diverging whatever its mu did
+    sequences = [
+        [_rec(1, 1.0, schur_cholesky_ok=False), _rec(2, 0.5)],
+        [_rec(1, 1.0, step_primal=0.9, step_dual=0.9),
+         _rec(2, 0.01, step_primal=0.9, step_dual=0.9)],
+        [_rec(i + 1, mu=1.0, step_primal=1e-3, step_dual=1e-3)
+         for i in range(4)],
+    ]
+    for records in sequences:
+        assert classify_convergence(records) != "diverging"
+        assert classify_convergence(
+            records, status=SDPStatus.PRIMAL_INFEASIBLE
+        ) == "diverging"
+    assert classify_convergence(
+        [], status=SDPStatus.PRIMAL_INFEASIBLE
+    ) == "unknown"
+
+
 def test_classifier_only_emits_known_classes():
     sequences = [
         [],
@@ -239,6 +259,28 @@ def test_solve_sdp_emits_ipm_trace_event():
     assert ev["records"][-1]["iteration"] == res.iterations
     spans = sink.spans("sdp.solve")
     assert spans and spans[0]["attrs"]["convergence"] == "healthy"
+
+
+def test_primal_infeasible_solve_reports_diverging():
+    # X_11 = -1: the solve stops at a dual ray, and every surface that
+    # reports the convergence class calls it diverging
+    E = np.zeros((2, 2))
+    E[0, 0] = 1.0
+    prob = SDPProblem([2])
+    prob.set_trace_objective()
+    prob.add_constraint([E], -1.0)
+    sink = InMemorySink()
+    tel = configure(sink)
+    try:
+        res = solve_sdp(prob)
+    finally:
+        disable()
+    assert res.status == SDPStatus.PRIMAL_INFEASIBLE
+    assert res.convergence_class == "diverging"
+    assert tel.metrics.counter_value("sdp.convergence.diverging") == 1
+    (event,) = [e for e in sink.events if e.get("type") == "sdp.ipm_trace"]
+    assert event["convergence"] == "diverging"
+    assert sink.spans("sdp.solve")[0]["attrs"]["convergence"] == "diverging"
 
 
 def test_solve_sdp_times_every_subphase():

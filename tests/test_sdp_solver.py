@@ -83,18 +83,91 @@ def test_feasibility_recovers_psd_completion():
     assert np.linalg.eigvalsh(res.X[0])[0] >= -1e-7
 
 
+def _dual_operator(prob, y):
+    """``A^T y`` of ``prob`` as one matrix per block."""
+    from repro.sdp import smat
+
+    parts = prob.split_svec(prob.constraint_matrix().T @ y)
+    return [smat(v, n) for v, n in zip(parts, prob.block_dims)]
+
+
+def _is_dual_ray(prob, y, tolerance):
+    """The Farkas-ray test by eigenvalues: ``b^T y > 0`` and
+    ``lambda_max(A^T y) <= tolerance * ||A^T y||_F``."""
+    ATy = _dual_operator(prob, y)
+    norm = np.sqrt(sum(np.sum(a * a) for a in ATy))
+    lam_max = max(np.linalg.eigvalsh(a)[-1] for a in ATy)
+    return float(prob.rhs() @ y) > 0.0 and lam_max <= tolerance * norm
+
+
 def test_primal_infeasible_detected():
-    # X_11 = -1 impossible for PSD X
+    # X_11 = -1 impossible for PSD X; the returned y is the certificate
     prob = SDPProblem([2])
     prob.set_trace_objective()
     prob.add_constraint([unit(2, 0, 0)], -1.0)
-    res = solve_sdp(prob, InteriorPointOptions(max_iterations=200))
-    assert res.status in (
-        SDPStatus.PRIMAL_INFEASIBLE,
-        SDPStatus.MAX_ITERATIONS,
-        SDPStatus.NUMERICAL_ERROR,
-    )
+    res = solve_sdp(prob)
+    assert res.status == SDPStatus.PRIMAL_INFEASIBLE
+    assert res.message == "dual ray certifies primal infeasibility"
+    assert res.convergence_class == "diverging"
     assert not res.feasible
+    assert _is_dual_ray(prob, res.y, InteriorPointOptions().tolerance)
+
+
+def _thin_feasible_sdp():
+    # X_11 = 1e-6: feasible, but the feasible set hugs the PSD boundary
+    prob = SDPProblem([2])
+    prob.set_trace_objective()
+    prob.add_constraint([unit(2, 0, 0)], 1e-6)
+    return prob
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _random_feasible_sdp(3, 4, 0),
+        lambda: _random_feasible_sdp(6, 9, 1),
+        lambda: _random_feasible_sdp(8, 12, 2),
+        _thin_feasible_sdp,
+    ],
+    ids=["random-3", "random-6", "random-8", "thin"],
+)
+def test_dual_ray_test_has_no_false_positive(make, monkeypatch):
+    prob = make()
+    tolerance = InteriorPointOptions().tolerance
+    seen = []
+
+    class _Recording(ipm._IPMState):
+        def _phase_residuals(self, rec):
+            seen.append(_is_dual_ray(prob, self.y, tolerance))
+            return super()._phase_residuals(rec)
+
+    monkeypatch.setattr(ipm, "_IPMState", _Recording)
+    res = solve_sdp(prob)
+    assert res.status == SDPStatus.OPTIMAL
+    assert len(seen) == res.iterations
+    assert not any(seen)
+
+
+def test_dual_ray_matches_eigenvalue_test():
+    # y = (t, s): the first row, <-P, X> = 1 with P PD on every block, is
+    # infeasible with ray y = (1, 0); the second is a random perturbation.
+    # At s = 3.5 every block trace is negative but the 4x4 block has a
+    # positive eigenvalue, so the Cholesky decides
+    rng = np.random.default_rng(40)
+    dims = [1, 2, 4]
+    prob = SDPProblem(dims)
+    prob.add_constraint([-_random_pd(n, rng) for n in dims], 1.0)
+    prob.add_constraint([sym(rng.normal(size=(n, n))) for n in dims], 0.5)
+    state = ipm._IPMState(prob, ipm.InteriorPointOptions())
+    verdicts = []
+    for y in ([1.0, 0.0], [2.0, 1e-12], [1.0, 1e-3], [1.0, 3.5], [1.0, 10.0],
+              [-1.0, 0.0]):
+        state.y = np.array(y)
+        ATy = state._operator_AT(state.y)
+        verdict = state.b @ state.y > 0.0 and state._dual_ray(ATy)
+        assert verdict == _is_dual_ray(prob, state.y, state.opts.tolerance)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_inconsistent_constraints_detected():

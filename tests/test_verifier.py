@@ -204,3 +204,34 @@ def test_lie_failure_skips_the_second_endpoint():
     assert names == ["init", "unsafe", "lie[w=[-50.0]]"]
     assert [c.ok for c in result.conditions] == [True, True, False]
     assert solves == 3
+
+
+# ----------------------------------------------------------------------
+# rejected candidates: the init SDP stops at a certified dual ray
+# ----------------------------------------------------------------------
+def test_rejected_candidate_stops_at_dual_ray():
+    import warnings
+
+    from repro.service.jobs import _VERIFY_DEFAULTS, _verify_family_problem
+
+    # 0.05 - |x|^2 / 2 is negative on the corners of Theta = [-0.3, 0.3]^2,
+    # so condition (13) has no SOS certificate
+    x, y = Polynomial.variables(2)
+    B = Polynomial.constant(2, 0.05) - 0.5 * (x * x + y * y)
+    verifier = SOSVerifier(_verify_family_problem(_VERIFY_DEFAULTS), [])
+    sink = InMemorySink()
+    tel = configure(sink)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = verifier.verify(B)
+    finally:
+        disable()
+    assert not result.ok
+    init = result.conditions[0]
+    assert init.name == "init" and not init.ok
+    assert init.sdp_status == "primal_infeasible"
+    assert init.sdp_recovery_rung == "base"
+    assert init.sdp_iterations <= 10
+    assert init.sdp_convergence == "diverging"
+    assert tel.metrics.counter_value("sdp.recovery.engaged") == 0
