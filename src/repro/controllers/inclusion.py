@@ -1,8 +1,9 @@
 """Polynomial inclusion of NN controllers (paper §3).
 
 Computes the Chebyshev (minimax) polynomial approximation of the controller
-on a rectangular mesh over the domain by linear programming (problem (5)),
-then converts the mesh optimum ``sigma~`` into a domain-wide error bound
+on a rectangular mesh over the domain by linear programming (problem (5),
+solved by constraint exchange on a few hundred active mesh rows), then
+converts the mesh optimum ``sigma~`` into a domain-wide error bound
 
     sigma* = sigma~ + s L / 2        (Theorem 2)
 
@@ -37,7 +38,9 @@ class PolynomialInclusion:
     polynomials:
         One approximating polynomial ``h_j`` per controller output.
     sigma_tilde:
-        Mesh minimax errors per output (LP optima, eq. (5)).
+        Mesh minimax errors per output: the LP (5) optimum, or the
+        evaluated mesh maximum ``max_i |h(x_i) - k(x_i)|`` of the returned
+        ``h`` where that is larger.
     sigma_star:
         Verified domain-wide error bounds per output (Theorem 2).
     spacing:
@@ -83,8 +86,21 @@ def _design_matrix(points: np.ndarray, degree: int) -> np.ndarray:
     return gathered.prod(axis=0).T  # (m, t)
 
 
-def _chebyshev_lp(phi: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Solve ``min_h max_i |phi_i . h - k_i|`` as the LP (5)."""
+def _initial_rows(targets: np.ndarray, v: int) -> np.ndarray:
+    """First active set of the exchange for ``v`` coefficients: evenly
+    spaced mesh rows plus the rows of the largest and smallest target,
+    sorted; every row when the mesh is no larger than the spaced set."""
+    m = targets.shape[0]
+    n0 = max(4 * (v + 1), 200)
+    if m <= n0:
+        return np.arange(m)
+    spaced = np.linspace(0, m - 1, n0, dtype=np.int64)
+    extremes = [int(np.argmax(targets)), int(np.argmin(targets))]
+    return np.union1d(spaced, extremes)
+
+
+def _lp_on_rows(phi: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Solve LP (5), ``min t`` s.t. ``|phi_i . h - k_i| <= t``, by HiGHS."""
     m, v = phi.shape
     # variables: [h (v), t]; minimize t
     c = np.zeros(v + 1)
@@ -94,7 +110,6 @@ def _chebyshev_lp(phi: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, flo
         [np.hstack([phi, -ones]), np.hstack([-phi, -ones])]
     )
     b_ub = np.concatenate([targets, -targets])
-    fault_point("inclusion.lp")
     res = linprog(
         c,
         A_ub=A_ub,
@@ -105,6 +120,48 @@ def _chebyshev_lp(phi: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, flo
     if not res.success:
         raise RuntimeError(f"Chebyshev LP failed: {res.message}")
     return res.x[:v], float(res.x[v])
+
+
+def _chebyshev_lp(
+    phi: np.ndarray, targets: np.ndarray
+) -> Tuple[np.ndarray, float, int, int]:
+    """Solve ``min_h max_i |phi_i . h - k_i|`` (LP (5)) by constraint exchange.
+
+    The Stiefel/Remez exchange for discrete Chebyshev approximation: LP (5)
+    is solved on a small active set of mesh rows, the residual
+    ``|phi h - k|`` is evaluated on the whole mesh, and the worst violators
+    join the active set until none is left.  The sub-LP optimum ``t`` is a
+    lower bound on the full-mesh optimum, so the loop stops at the full
+    optimum; each round adds at least one row, so in the worst case the
+    last round solves LP (5) on the whole mesh.
+
+    Returns ``(h, sigma_tilde, rounds, active_rows)``.  ``sigma_tilde`` is
+    ``max(t, max_i |phi_i . h - k_i|)``: the mesh error of the returned
+    ``h`` itself, which the LP optimum ``t`` can undercut by the solver's
+    feasibility tolerance, and which is what Theorem 2 needs.
+    """
+    v = phi.shape[1]
+    batch = max(2 * (v + 1), 50)
+    active = _initial_rows(targets, v)
+    fault_point("inclusion.lp")
+    rounds = 0
+    while True:
+        rounds += 1
+        h, t = _lp_on_rows(phi[active], targets[active])
+        resid = np.abs(phi @ h - targets)
+        worst = float(resid.max())
+        # active rows can exceed t by the solver's feasibility tolerance;
+        # only inactive violators are exchanged, so every round grows
+        # the active set and the loop ends by the whole mesh at the latest
+        resid[active] = -np.inf
+        violators = np.flatnonzero(resid > t * (1.0 + 1e-9) + 1e-12)
+        if violators.size == 0:
+            break
+        if violators.size > batch:
+            worst_first = np.argsort(-resid[violators], kind="stable")
+            violators = violators[worst_first[:batch]]
+        active = np.union1d(active, violators)
+    return h, max(t, worst), rounds, int(active.size)
 
 
 def polynomial_inclusion(
@@ -186,7 +243,9 @@ def polynomial_inclusion(
             degree=degree, error_mode=error_mode,
         ) as span:
             try:
-                h_coeffs, t_opt = _chebyshev_lp(phi, values[:, j])
+                h_coeffs, s_tilde, rounds, active_rows = _chebyshev_lp(
+                    phi, values[:, j]
+                )
             except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
                 tel.metrics.inc("inclusion.lp_failures")
                 raise InclusionError(
@@ -198,27 +257,29 @@ def polynomial_inclusion(
                 ) from exc
             h_poly = Polynomial.from_coeff_vector(domain.n_vars, degree, h_coeffs)
             polys.append(h_poly)
-            sigma_tilde.append(t_opt)
+            sigma_tilde.append(s_tilde)
             if error_mode == "lipschitz":
-                sigma_star.append(t_opt + 0.5 * eff_spacing * float(lipschitz))
+                sigma_star.append(s_tilde + 0.5 * eff_spacing * float(lipschitz))
             else:
                 fresh = domain.sample(empirical_samples, rng=rng)
                 fresh_vals = np.atleast_2d(np.asarray(controller(fresh), dtype=float))
                 if fresh_vals.shape[0] != fresh.shape[0]:
                     fresh_vals = fresh_vals.T
                 err = float(np.max(np.abs(fresh_vals[:, j] - h_poly(fresh))))
-                sigma_star.append(max(t_opt, err) * empirical_safety)
+                sigma_star.append(max(s_tilde, err) * empirical_safety)
             span.set_attrs(
-                sigma_tilde=t_opt,
+                rounds=rounds,
+                active_rows=active_rows,
+                sigma_tilde=s_tilde,
                 sigma_star=sigma_star[-1],
-                lipschitz_slack=sigma_star[-1] - t_opt,
+                lipschitz_slack=sigma_star[-1] - s_tilde,
             )
         if tel.enabled:
             tel.metrics.observe("inclusion.lp_seconds", span.duration)
-            tel.metrics.observe("inclusion.sigma_tilde", t_opt)
+            tel.metrics.observe("inclusion.sigma_tilde", s_tilde)
             tel.metrics.observe("inclusion.sigma_star", sigma_star[-1])
             tel.metrics.observe(
-                "inclusion.lipschitz_slack", sigma_star[-1] - t_opt
+                "inclusion.lipschitz_slack", sigma_star[-1] - s_tilde
             )
     tel.metrics.gauge("inclusion.lipschitz", float(lipschitz))
     return PolynomialInclusion(
