@@ -17,6 +17,10 @@ Replay is bitwise-identical to rebuilding the graph from scratch:
   through ``Tensor._accumulate`` in the same reverse-topological order,
   so every float add happens in the same sequence.
 
+A replay is a pure function of the grad-carrying leaves, so ``run()``
+skips it while those leaves hold the bytes of the previous replay: a
+learner at a fixed point of Adam pays only that comparison per epoch.
+
 Ops outside the replay table raise :class:`TapeUnsupportedOp` at capture
 time; callers fall back to the per-epoch graph path.
 """
@@ -349,6 +353,18 @@ class Tape:
     leaf values (Parameters included) and reruns backward, leaving fresh
     gradients on the leaves — identical, float for float, to rebuilding
     the graph and calling ``loss.backward()``.
+
+    When no grad-carrying leaf changed since the last replay (same shape,
+    dtype and bytes, so ``-0.0`` and ``0.0`` differ), ``run()`` skips the
+    replay, hands every leaf the gradient array that replay left on it,
+    and returns ``output`` with the interior nodes untouched.
+    ``replays``/``replays_skipped`` count real replays and such skips.
+
+    Precondition: constant (non-grad) leaves are not mutated in place
+    while the tape lives — the skip test looks only at the grad-carrying
+    leaves.  Rebinding a leaf's ``data`` or writing into it are both seen.
+    Like ``Tensor._accumulate``, the tape assumes nobody writes into a
+    ``grad`` array in place: a skipped replay hands out the same arrays.
     """
 
     def __init__(self, output: Tensor):
@@ -385,10 +401,30 @@ class Tape:
              _specialized_backward(t) or _BACKWARD[t._op])
             for t in topo if t._op is not None
         ]
+        #: per leaf (shape, dtype, bytes) of ``data`` and the ``grad`` at
+        #: the end of the last real replay; ``None`` before the first
+        self._memo = None
+        self.replays = 0
+        self.replays_skipped = 0
 
     # ------------------------------------------------------------------
     def run(self) -> Tensor:
-        """One forward + backward replay; returns the output tensor."""
+        """One forward + backward replay; returns the output tensor.
+
+        Skipped when every grad-carrying leaf matches the last replay's.
+        """
+        leaves = self.leaves
+        memo = self._memo
+        if memo is not None and all(
+            d.shape == shape and d.dtype == dtype and d.tobytes() == raw
+            for d, (shape, dtype, raw, _) in zip(
+                (t.data for t in leaves), memo
+            )
+        ):
+            for t, entry in zip(leaves, memo):
+                t.grad = entry[3]
+            self.replays_skipped += 1
+            return self.output
         interior = self._interior
         for t, fwd, _ in interior:
             fwd(t)
@@ -399,6 +435,11 @@ class Tape:
         for t, _, bwd in reversed(interior):
             if t.grad is not None:
                 bwd(t, t.grad)
+        self._memo = [
+            (t.data.shape, t.data.dtype, t.data.tobytes(), t.grad)
+            for t in leaves
+        ]
+        self.replays += 1
         return out
 
 

@@ -50,13 +50,6 @@ class LearnerConfig:
     #: architecture allows it (one hidden layer); see SNBC._warm_start
     warm_start: bool = True
     seed: int = 0
-    #: replay the loss graph with :class:`repro.autodiff.Tape` after the
-    #: first epoch of each fit (bitwise-identical, skips per-epoch graph
-    #: construction); falls back silently when the graph has unsupported ops
-    use_tape: bool = True
-    #: when the training set grows (append-only counterexample rows),
-    #: evaluate the closed-loop field only on the newly appended rows
-    incremental_field_values: bool = True
 
 
 class BarrierLearner:
@@ -111,6 +104,12 @@ class BarrierLearner:
     ) -> BarrierLossTerms:
         """Run full-batch Adam on loss (10); returns the final loss terms.
 
+        The first epoch builds the loss graph; the rest replay it through
+        a :class:`repro.autodiff.Tape` (bitwise-identical to rebuilding
+        it), which skips the replay outright while Adam leaves every
+        parameter unchanged.  A graph the tape cannot replay is rebuilt
+        every epoch instead.
+
         ``gain_fields``/``sigma_star`` activate the robust Lie margin for
         controllers with a nonzero inclusion error (see
         :func:`repro.learner.loss.barrier_loss`).
@@ -129,7 +128,7 @@ class BarrierLearner:
             tape: Optional[Tape] = None
             components: dict = {}
             loss = None
-            use_tape = cfg.use_tape
+            use_tape = True
             for _ in range(max_epochs):
                 self.optimizer.zero_grad()
                 if tape is None:
@@ -157,8 +156,12 @@ class BarrierLearner:
                             use_tape = False
                             tel.metrics.inc("learner.tape.fallbacks")
                 else:
+                    replays = tape.replays
                     tape.run()
-                    tel.metrics.inc("learner.tape.replays")
+                    tel.metrics.inc(
+                        "learner.tape.replays" if tape.replays > replays
+                        else "learner.tape.replays_skipped"
+                    )
                     terms = BarrierLossTerms(
                         total=loss.item(),
                         init=components["init"].item(),
@@ -204,7 +207,11 @@ class BarrierLearner:
                 tel.metrics.observe("learner.epochs_to_converge", epochs_run)
             assert last is not None
             span.set_attrs(
-                epochs_run=epochs_run, converged=converged, final_loss=last.total
+                epochs_run=epochs_run,
+                converged=converged,
+                final_loss=last.total,
+                replays=tape.replays if tape is not None else 0,
+                replays_skipped=tape.replays_skipped if tape is not None else 0,
             )
         return last
 
@@ -215,8 +222,6 @@ class BarrierLearner:
         """Field evaluations at ``points``, reusing rows evaluated in
         earlier CEGIS rounds when the dataset only grew (append-only
         counterexample rows keep the prefix bitwise-unchanged)."""
-        if not self.config.incremental_field_values:
-            return field_values(field, points)
         from repro.poly.fast_eval import _field_key
 
         tel = get_telemetry()

@@ -1,8 +1,9 @@
 """Result-identity tests for the hot-path performance layer.
 
-Every default-on optimization (SOS workspace cache, tape replay,
-compile-field memoization, incremental field values, vectorized design
-matrix) must be *bitwise* identical to its reference path.
+Every optimization (SOS workspace cache, tape replay and its fixed-point
+memo, one-vector Adam, compile-field memoization, incremental field
+values, vectorized design matrix) must be *bitwise* identical to its
+reference path.
 """
 
 import math
@@ -12,8 +13,10 @@ import pytest
 
 from repro.autodiff import Tape, Tensor
 from repro.controllers.inclusion import _design_matrix
+from repro.diagnostics import faultinject as fi
 from repro.dynamics import CCDS, ControlAffineSystem
 from repro.learner import BarrierLearner, LearnerConfig, TrainingData
+from repro.learner.loss import barrier_loss
 from repro.poly import Polynomial
 from repro.poly.fast_eval import (
     clear_compile_cache,
@@ -21,8 +24,16 @@ from repro.poly.fast_eval import (
     set_compile_cache_enabled,
 )
 from repro.poly.monomials import monomials_upto
+from repro.resilience.errors import LearnerDivergence
 from repro.sets import Box
+from repro.telemetry import InMemorySink, configure, disable
 from repro.verifier import SOSVerifier, VerifierConfig
+
+from tests.test_nn_layers import (
+    PerParameterAdam,
+    assert_adam_state_identical,
+    assert_same_bits,
+)
 
 
 def decay_problem(n=2):
@@ -118,8 +129,81 @@ def test_workspace_reused_across_verifies():
 
 
 # ----------------------------------------------------------------------
-# tape replay
+# tape replay and its fixed-point memo
 # ----------------------------------------------------------------------
+def reference_fit(learner, data, field, epochs):
+    """The learner's epoch loop without a tape and with a per-parameter
+    Adam: the loss graph is rebuilt and ``backward()`` run every epoch."""
+    cfg = learner.config
+    f_vals = compile_field(field)(data.s_domain)
+    opt = PerParameterAdam(learner._params, lr=cfg.lr)
+    history = []
+    for _ in range(epochs):
+        for p in learner._params:
+            p.grad = None
+        loss, terms = barrier_loss(
+            learner.b_net,
+            learner.lambda_net,
+            data,
+            f_vals,
+            eps=cfg.eps,
+            etas=cfg.etas,
+            negative_slope=cfg.negative_slope,
+            paper_printed_form=cfg.paper_printed_form,
+        )
+        loss.backward()
+        opt.step()
+        history.append(terms)
+        if terms.total < cfg.loss_tolerance:
+            break
+    return history, opt
+
+
+def assert_fit_matches_reference(make_learner, data, field):
+    """Fit one learner and replay the same fit on a twin through
+    :func:`reference_fit`; returns the fitted learner."""
+    learner, ref = make_learner(), make_learner()
+    learner.fit(data, field)
+    history, ref_opt = reference_fit(ref, data, field, ref.config.epochs)
+    assert_same_bits((p.data for p in learner._params),
+                     (p.data for p in ref._params))
+    assert_adam_state_identical(learner.optimizer, ref_opt)
+    assert len(learner.loss_history) == len(history)
+    for ta, tb in zip(learner.loss_history, history):
+        assert ta.total == tb.total
+        assert ta.init == tb.init
+        assert ta.unsafe == tb.unsafe
+        assert ta.domain == tb.domain
+    return learner
+
+
+def fit_replay_counts(make_learner, data, field):
+    """``(replays, replays_skipped)`` of one traced fit, checked to agree
+    between the ``learner.fit`` span and the telemetry counters."""
+    sink = InMemorySink()
+    tel = configure(sink)
+    try:
+        make_learner().fit(data, field)
+    finally:
+        disable()
+    (span,) = sink.spans("learner.fit")
+    replays = span["attrs"]["replays"]
+    skipped = span["attrs"]["replays_skipped"]
+    assert tel.metrics.counter_value("learner.tape.replays") == replays
+    assert tel.metrics.counter_value("learner.tape.replays_skipped") == skipped
+    return replays, skipped
+
+
+def warm_learner(epochs=60, lambda_hidden=(5,)):
+    """A learner warm-started to ``B = 2.5 - |x|^2``, which separates the
+    decay problem's sets with margin: its loss is 0 from epoch 0."""
+    learner = BarrierLearner(
+        2, config=LearnerConfig(epochs=epochs, seed=7, lambda_hidden=lambda_hidden)
+    )
+    learner.b_net.init_from_quadratic_form(np.eye(2), 2.5, noise=0.0)
+    return learner
+
+
 @pytest.mark.parametrize("lambda_hidden", [(5,), None])
 @pytest.mark.parametrize("arch", ["quadratic", "square"])
 def test_tape_training_bitwise_identical(arch, lambda_hidden):
@@ -127,27 +211,48 @@ def test_tape_training_bitwise_identical(arch, lambda_hidden):
     data = TrainingData.sample(prob, 60, rng=np.random.default_rng(0))
     field = prob.system.closed_loop([])
 
-    def run(use_tape):
-        cfg = LearnerConfig(
-            epochs=40,
-            seed=7,
-            b_architecture=arch,
-            lambda_hidden=lambda_hidden,
-            use_tape=use_tape,
-        )
-        learner = BarrierLearner(2, config=cfg)
-        learner.fit(data, field)
-        return learner
+    def make():
+        return BarrierLearner(2, config=LearnerConfig(
+            epochs=40, seed=7, b_architecture=arch, lambda_hidden=lambda_hidden,
+        ))
 
-    a, b = run(True), run(False)
-    for p, q in zip(a._params, b._params):
-        assert np.array_equal(p.data, q.data)
-    assert len(a.loss_history) == len(b.loss_history)
-    for ta, tb in zip(a.loss_history, b.loss_history):
-        assert ta.total == tb.total
-        assert ta.init == tb.init
-        assert ta.unsafe == tb.unsafe
-        assert ta.domain == tb.domain
+    assert_fit_matches_reference(make, data, field)
+
+
+@pytest.mark.parametrize("lambda_hidden", [(5,), None])
+def test_zero_loss_fit_skips_replays_bitwise(lambda_hidden):
+    prob = decay_problem()
+    data = TrainingData.sample(prob, 60, rng=np.random.default_rng(0))
+    field = prob.system.closed_loop([])
+
+    def make():
+        return warm_learner(lambda_hidden=lambda_hidden)
+
+    learner = assert_fit_matches_reference(make, data, field)
+    assert all(t.total == 0.0 for t in learner.loss_history)
+    replays, skipped = fit_replay_counts(make, data, field)
+    assert replays + skipped == learner.config.epochs - 1
+    assert skipped >= 0.9 * (replays + skipped)
+
+
+def test_momentum_tail_fit_bitwise():
+    # random init: the loss reaches 0 around epoch 20, momentum keeps the
+    # parameters moving for a while, then every step is an exact no-op
+    prob = decay_problem()
+    data = TrainingData.sample(prob, 60, rng=np.random.default_rng(0))
+    field = prob.system.closed_loop([])
+
+    def make():
+        return BarrierLearner(2, config=LearnerConfig(epochs=500, seed=0))
+
+    learner = assert_fit_matches_reference(make, data, field)
+    first_zero = next(
+        i for i, t in enumerate(learner.loss_history) if t.total == 0.0
+    )
+    assert 0 < first_zero < 100
+    replays, skipped = fit_replay_counts(make, data, field)
+    assert replays > first_zero  # real replays while momentum decays
+    assert skipped > 0
 
 
 def test_tape_replay_matches_rebuild_for_raw_graph():
@@ -176,6 +281,57 @@ def test_tape_replay_matches_rebuild_for_raw_graph():
     assert g0.shape == g_tape.shape
 
 
+def test_tape_memo_sees_in_place_writes():
+    rng = np.random.default_rng(2)
+    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    b = Tensor(np.zeros(3), requires_grad=True)
+    x = Tensor(rng.normal(size=(5, 4)))
+
+    def build():
+        h = (x @ w + b).tanh()
+        return (h * h).sum()
+
+    loss = build()
+    loss.backward()
+    tape = Tape(loss)
+    tape.run()
+    first = w.grad
+    w.grad = None
+    b.data = b.data.copy()  # rebound to equal bytes: still a fixed point
+    assert tape.run() is loss
+    assert (tape.replays, tape.replays_skipped) == (1, 1)
+    assert w.grad is first
+
+    w.data[0, 0] += 1.0  # in place: the replay must run
+    tape.run()
+    assert (tape.replays, tape.replays_skipped) == (2, 1)
+    g_tape, v_tape = w.grad, loss.item()
+    w.grad = b.grad = None
+    fresh = build()
+    fresh.backward()
+    assert v_tape == fresh.item()
+    assert_same_bits([g_tape], [w.grad])
+
+    b.data = -b.data  # 0.0 -> -0.0 compares equal but is other bytes
+    tape.run()
+    assert (tape.replays, tape.replays_skipped) == (3, 1)
+
+
+def test_gradient_fault_inside_skipped_stretch_still_fires():
+    # the fault site is consulted every epoch, replay or not, so call
+    # numbers keep counting epochs
+    prob = decay_problem()
+    data = TrainingData.sample(prob, 60, rng=np.random.default_rng(0))
+    field = prob.system.closed_loop([])
+    learner = warm_learner()
+    with fi.inject(fi.nan_gradients(at_call=30)) as plan:
+        with pytest.raises(LearnerDivergence) as info:
+            learner.fit(data, field)
+    assert plan.fired_sites() == ["learner.gradients"]
+    assert info.value.details["epoch"] == 30
+    assert len(learner.loss_history) == 29
+
+
 # ----------------------------------------------------------------------
 # compile_field memoization + incremental field values
 # ----------------------------------------------------------------------
@@ -202,9 +358,7 @@ def test_incremental_field_values_bitwise_on_grown_dataset():
     pts = prob.psi.sample(80, rng=rng)
     grown = np.vstack([pts, prob.psi.sample(17, rng=rng)])
 
-    learner = BarrierLearner(
-        2, config=LearnerConfig(incremental_field_values=True)
-    )
+    learner = BarrierLearner(2)
     ref = compile_field(field)
     first = learner._field_values(field, pts)
     assert np.array_equal(first, ref(pts))
