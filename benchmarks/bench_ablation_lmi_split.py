@@ -12,9 +12,10 @@ Run:  pytest benchmarks/bench_ablation_lmi_split.py --benchmark-only
 
 import pytest
 
-from table1_common import bench_scale, prepared, prepared_inclusion, run_snbc
+from table1_common import bench_scale, prepared, prepared_inclusion
 
 from repro.baselines import SOSToolsBaseline, SOSToolsConfig
+from repro.cegis import SNBC
 from repro.verifier import SOSVerifier
 
 SYSTEMS = ["C1", "C6", "C9", "C10"] if bench_scale() == "smoke" else [
@@ -30,7 +31,13 @@ def certified():
     """Synthesize once per system so both arms verify the same candidate."""
     out = {}
     for name in SYSTEMS:
-        result = run_snbc(name)
+        spec, problem, controller = prepared(name)
+        result = SNBC(
+            problem,
+            controller=controller,
+            learner_config=spec.learner_config(),
+            config=spec.snbc_config(bench_scale()),
+        ).run()
         assert result.success, f"setup failed on {name}"
         out[name] = result
     return out

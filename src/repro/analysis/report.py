@@ -1,165 +1,276 @@
-"""Markdown report generation for the Table 1 reproduction.
+"""The Table-1 runner: SNBC over the benchmark registry, one BENCH row each.
 
-``build_table1_report`` runs SNBC (and optionally the baselines) over the
-benchmark registry and renders a markdown section in the layout of the
-paper's Table 1 — the engine behind the numbers recorded in
-EXPERIMENTS.md and a reproducibility artifact in its own right:
+    python -m repro.analysis.report --scale smoke --systems C1
+    python -m repro.analysis.report --systems C1,C3 --out results/BENCH_table1.json
+    python -m repro.analysis.report --checkpoint-dir results/ckpt --resume
+    python -m repro.analysis.report --time-budget 600 --profile
+    python -m repro.analysis.report --scale paper --markdown table1.md
 
-    python -m repro.analysis.report --scale smoke --output report.md
+Runs SNBC on the selected systems one after another, with full
+telemetry: a trace, manifest and audit artifact per run under
+``results/telemetry/<name>-<scale>.*``.  It writes the aggregate BENCH
+document (``--out``, the input of ``python -m repro.diagnostics.regress``)
+and prints the paper's Table-1 SNBC columns; ``--markdown`` also writes
+them as a markdown section, the layout EXPERIMENTS.md records.
+
+Rows run serially on purpose: each carries the ``T_l/T_c/T_v/T_e``
+timings, and rows that share cores would distort them.  To certify
+Table-1 rows in parallel, send ``certify`` requests to the certification
+service instead (``python -m repro.service run --jobs-file``, see
+``docs/service.md``); its payloads carry no timings.
+
+One bad row never loses the table: a system that raises is recorded with
+``outcome: "error"`` (exception class included) and the remaining rows
+still run; deadline overruns (``--time-budget``) land as ``timeout``
+rows (the paper's OOT).  ``--checkpoint-dir``/``--resume`` continue
+interrupted runs bit-identically (see ``docs/robustness.md``).  Exits 1
+when any selected system fails to produce a certificate.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
+import os
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.analysis.tables import Table, format_table
 from repro.benchmarks import get_benchmark, list_benchmarks
+from repro.cegis import SNBC
+from repro.diagnostics import (
+    audit_certificate,
+    bench_entry,
+    error_entry,
+    result_outcome,
+    write_audit,
+    write_bench,
+)
+from repro.telemetry import session as telemetry_session
+from repro.telemetry.profiler import SamplingProfiler
 
 logger = logging.getLogger(__name__)
 
+#: every run's trace family lands here, relative to the working directory
+TRACE_DIR = os.path.join("results", "telemetry")
 
-@dataclass
-class Table1Row:
-    """Measured SNBC results for one benchmark system."""
-
-    name: str
-    n_x: int
-    d_f: int
-    nn_b: str
-    nn_lambda: str
-    success: bool
-    d_b: Optional[int]
-    iterations: int
-    t_learn: float
-    t_cex: float
-    t_verify: float
-    t_total: float
+#: trace byte bound per run, so long sweeps cannot fill the disk silently
+TRACE_MAX_BYTES = 64 * 1024 * 1024
 
 
-def run_snbc_rows(
-    systems: Optional[Sequence[str]] = None,
-    scale: str = "smoke",
-    progress=None,
-) -> List[Table1Row]:
-    """Run SNBC over the registry and collect Table 1 rows."""
-    from repro.cegis import SNBC
+def run_row(
+    name: str,
+    scale: str,
+    *,
+    trace_dir: str,
+    checkpoint_dir: Optional[str] = None,
+    resume: bool = False,
+    time_budget_s: Optional[float] = None,
+    profile: bool = False,
+) -> dict:
+    """Run SNBC on one system with its Table-1 configuration; return the
+    BENCH row (:func:`repro.diagnostics.bench_entry`).
 
-    rows: List[Table1Row] = []
-    for name in systems or [n for n in list_benchmarks() if n != "example1"]:
+    The run's trace, manifest and audit land at
+    ``<trace_dir>/<name>-<scale>.{jsonl,manifest.json,audit.json}``;
+    render them with ``python -m repro.diagnostics.report``.  With a
+    ``checkpoint_dir`` the CEGIS loop checkpoints to
+    ``<checkpoint_dir>/<name>-<scale>.ckpt.json``, and ``resume``
+    continues from that file when it exists.  ``time_budget_s`` arms the
+    per-run deadline, so an overrun is a ``timeout`` row.  ``profile``
+    attaches the sampling profiler and writes ``<base>.stacks.txt`` /
+    ``<base>.profile.json`` next to the trace.  A run that raises
+    becomes an ``error`` row.
+    """
+    base = os.path.join(trace_dir, f"{name}-{scale}")
+    profiler = None
+    try:
         spec = get_benchmark(name)
+        snbc_config = spec.snbc_config(scale)
+        resume_from = None
+        if checkpoint_dir:
+            os.makedirs(checkpoint_dir, exist_ok=True)
+            checkpoint = os.path.join(checkpoint_dir, f"{name}-{scale}.ckpt.json")
+            snbc_config = dataclasses.replace(snbc_config, checkpoint_path=checkpoint)
+            if resume and os.path.exists(checkpoint):
+                resume_from = checkpoint
+        if time_budget_s:
+            snbc_config = dataclasses.replace(snbc_config, time_budget_s=time_budget_s)
+        learner_config = spec.learner_config()
         problem = spec.make_problem()
         controller = spec.make_controller()
-        result = SNBC(
-            problem,
-            controller=controller,
-            learner_config=spec.learner_config(),
-            config=spec.snbc_config(scale),
-        ).run()
-        meta = spec.table_row()
-        rows.append(
-            Table1Row(
-                name=name,
-                n_x=meta["n_x"],
-                d_f=meta["d_f"],
-                nn_b=meta["NN_B"],
-                nn_lambda=meta["NN_lambda"],
-                success=result.success,
-                d_b=result.barrier.degree if result.success else None,
+        if profile:
+            profiler = SamplingProfiler().start()
+        with telemetry_session(
+            base + ".jsonl",
+            name=f"table1/{name}",
+            config={
+                "scale": scale,
+                "snbc": snbc_config,
+                "learner": learner_config,
+            },
+            seed=snbc_config.seed,
+            max_bytes=TRACE_MAX_BYTES,
+        ) as tel:
+            result = SNBC(
+                problem,
+                controller=controller,
+                learner_config=learner_config,
+                config=snbc_config,
+            ).run(resume_from=resume_from)
+            tel.manifest.finish(
+                result_outcome(result),
                 iterations=result.iterations,
-                t_learn=result.timings.learning,
-                t_cex=result.timings.counterexample,
-                t_verify=result.timings.verification,
-                t_total=result.timings.total,
+                timings={
+                    "inclusion": result.timings.inclusion,
+                    "learning": result.timings.learning,
+                    "counterexample": result.timings.counterexample,
+                    "verification": result.timings.verification,
+                    "total": result.timings.total,
+                },
             )
-        )
-        logger.info(
-            "%s: %s in %.2fs (%d iterations)",
-            name,
-            "ok" if result.success else "FAIL",
-            result.timings.total,
-            result.iterations,
-        )
-        if progress is not None:
-            progress(rows[-1])
-    return rows
+    except Exception as exc:
+        logger.exception("%s-%s raised; recorded as an error row", name, scale)
+        return error_entry(exc)
+    finally:
+        if profiler is not None:
+            profiler.stop()
+            profiler.write(base)
+    # timeout/error runs may end before any candidate exists
+    audit = None
+    if result.barrier is not None:
+        audit = audit_certificate(result, problem)
+        write_audit(base + ".audit.json", audit)
+    return bench_entry(result, audit=audit)
 
 
-def render_markdown(rows: Sequence[Table1Row], scale: str) -> str:
-    """Render collected rows as a markdown table plus summary lines."""
+def _cells(name: str, row: Mapping) -> dict:
+    """One rendered Table-1 line: static columns from the registry, the
+    measured ones from a BENCH row."""
+    meta = get_benchmark(name).table_row()
+    timings = row["timings"]
+    return {
+        "Ex.": name,
+        "n_x": meta["n_x"],
+        "d_f": meta["d_f"],
+        "NN_B": meta["NN_B"],
+        "NN_lambda": meta["NN_lambda"],
+        "d_B": row["d_B"] if row["outcome"] == "success" else None,
+        "I_s": row["iterations"],
+        "T_l": timings["T_l"],
+        "T_c": timings["T_c"],
+        "T_v": timings["T_v"],
+        "T_e": timings["T_e"],
+    }
+
+
+def render_markdown(systems: Mapping[str, Mapping], scale: str) -> str:
+    """Render a BENCH document's ``systems`` rows as a markdown table
+    plus summary lines."""
     lines = [
         f"### Table 1 / SNBC columns (measured, scale={scale})",
         "",
         "| Ex. | n_x | d_f | NN_B | NN_lambda | d_B | I_s | T_l (s) | T_c (s) | T_v (s) | T_e (s) |",
         "|---|---|---|---|---|---|---|---|---|---|---|",
     ]
-    for r in rows:
+    for name, row in systems.items():
+        c = _cells(name, row)
         lines.append(
-            f"| {r.name} | {r.n_x} | {r.d_f} | {r.nn_b} | {r.nn_lambda} | "
-            f"{r.d_b if r.success else 'x'} | {r.iterations} | "
-            f"{r.t_learn:.3f} | {r.t_cex:.3f} | {r.t_verify:.3f} | {r.t_total:.3f} |"
+            f"| {name} | {c['n_x']} | {c['d_f']} | {c['NN_B']} | "
+            f"{c['NN_lambda']} | {'x' if c['d_B'] is None else c['d_B']} | "
+            f"{c['I_s']} | {c['T_l']:.3f} | {c['T_c']:.3f} | "
+            f"{c['T_v']:.3f} | {c['T_e']:.3f} |"
         )
-    solved = sum(r.success for r in rows)
+    solved = [r for r in systems.values() if r["outcome"] == "success"]
     lines += [
         "",
-        f"Solved: **{solved}/{len(rows)}** systems "
+        f"Solved: **{len(solved)}/{len(systems)}** systems "
         f"(paper: SNBC solves 14/14, d_B = 2 throughout).",
     ]
     if solved:
-        mean_total = sum(r.t_total for r in rows if r.success) / solved
+        mean_total = sum(r["timings"]["T_e"] for r in solved) / len(solved)
         lines.append(f"Mean T_e over solved systems: {mean_total:.3f} s.")
     return "\n".join(lines)
 
 
-def render_text(rows: Sequence[Table1Row], scale: str) -> str:
-    """Plain-text rendering (for terminals / bench logs)."""
+def render_text(systems: Mapping[str, Mapping], scale: str) -> str:
+    """Plain-text rendering of BENCH ``systems`` rows (terminals, logs)."""
     table = Table(
         columns=["Ex.", "n_x", "d_f", "NN_B", "NN_lambda", "d_B", "I_s",
                  "T_l", "T_c", "T_v", "T_e"],
         title=f"Table 1 / SNBC columns (scale={scale})",
     )
-    for r in rows:
-        table.add_row(
-            **{
-                "Ex.": r.name,
-                "n_x": r.n_x,
-                "d_f": r.d_f,
-                "NN_B": r.nn_b,
-                "NN_lambda": r.nn_lambda,
-                "d_B": r.d_b,
-                "I_s": r.iterations,
-                "T_l": r.t_learn,
-                "T_c": r.t_cex,
-                "T_v": r.t_verify,
-                "T_e": r.t_total,
-            }
-        )
+    for name, row in systems.items():
+        table.add_row(**_cells(name, row))
     return format_table(table)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     parser.add_argument("--scale", choices=["smoke", "paper"], default="smoke")
-    parser.add_argument("--systems", nargs="*", default=None)
-    parser.add_argument("--output", default=None, help="markdown output path")
+    parser.add_argument("--systems", nargs="+", default=None,
+                        help="system names, space- or comma-separated "
+                             "(default: every registry system but example1)")
+    parser.add_argument("--out", default=os.path.join("results", "BENCH_table1.json"),
+                        help="BENCH document path (default %(default)s)")
+    parser.add_argument("--markdown", default=None,
+                        help="also write the table as markdown to this path")
+    parser.add_argument("--checkpoint-dir", default=None,
+                        help="write per-system CEGIS checkpoints under this "
+                             "directory (<name>-<scale>.ckpt.json)")
+    parser.add_argument("--resume", action="store_true",
+                        help="resume each system from its checkpoint in "
+                             "--checkpoint-dir when one exists")
+    parser.add_argument("--time-budget", type=float, default=None,
+                        help="per-system wall-clock budget in seconds; "
+                             "overruns are recorded as 'timeout' rows")
+    parser.add_argument("--profile", action="store_true",
+                        help="attach the sampling profiler to each run and "
+                             "write <base>.stacks.txt / <base>.profile.json "
+                             "next to its trace")
     args = parser.parse_args(argv)
+    if args.resume and not args.checkpoint_dir:
+        parser.error("--resume requires --checkpoint-dir")
 
-    def progress(row: Table1Row) -> None:
-        status = "ok" if row.success else "FAIL"
-        print(f"  {row.name}: {status} in {row.t_total:.2f}s "
-              f"({row.iterations} iterations)", flush=True)
+    names = (
+        [s for arg in args.systems for s in arg.split(",") if s]
+        if args.systems
+        else [n for n in list_benchmarks() if n != "example1"]
+    )
+    unknown = sorted(set(names) - set(list_benchmarks()))
+    if unknown:
+        parser.error(f"unknown systems: {', '.join(unknown)}")
+    systems: Dict[str, dict] = {}
+    for name in names:
+        row = systems[name] = run_row(
+            name,
+            args.scale,
+            trace_dir=TRACE_DIR,
+            checkpoint_dir=args.checkpoint_dir,
+            resume=args.resume,
+            time_budget_s=args.time_budget,
+            profile=args.profile,
+        )
+        status = "ok" if row["outcome"] == "success" else row["outcome"].upper()
+        error = row.get("error")
+        detail = f" ({error.get('kind')}: {error.get('message')})" if error else ""
+        print(f"  {name}: {status} in {row['timings']['T_e']:.2f}s "
+              f"({row['iterations']} iterations){detail}", flush=True)
 
-    rows = run_snbc_rows(args.systems, scale=args.scale, progress=progress)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    write_bench(args.out, systems, args.scale)
     print()
-    print(render_text(rows, args.scale))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(render_markdown(rows, args.scale) + "\n")
-        print(f"\nmarkdown written to {args.output}")
-    return 0 if all(r.success for r in rows) else 1
+    print(render_text(systems, args.scale))
+    print(f"\nBENCH document written to {args.out}")
+    if args.markdown:
+        with open(args.markdown, "w") as fh:
+            fh.write(render_markdown(systems, args.scale) + "\n")
+        print(f"markdown written to {args.markdown}")
+    return 0 if all(r["outcome"] == "success" for r in systems.values()) else 1
 
 
 if __name__ == "__main__":

@@ -2,17 +2,20 @@
 
 Absolute timings are incomparable across hardware/solvers; what a
 reproduction can check mechanically are the *qualitative signatures*.
-:func:`check_table1_shape` takes measured SNBC rows (from
-:func:`repro.analysis.report.run_snbc_rows`) and evaluates each signature,
-returning a scorecard used by EXPERIMENTS.md and the summary bench.
+:func:`check_table1_shape` takes the ``systems`` rows of a BENCH document
+(written by ``python -m repro.analysis.report``) and evaluates each
+signature, returning a scorecard used by EXPERIMENTS.md and the summary
+bench.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from types import SimpleNamespace
+from typing import List, Mapping, Sequence
 
 from repro.benchmarks.paper_values import PAPER_TABLE1
+from repro.benchmarks.systems import get_benchmark
 
 
 @dataclass
@@ -24,14 +27,25 @@ class ShapeCheck:
     detail: str
 
 
-def check_table1_shape(rows: Sequence) -> List[ShapeCheck]:
+def check_table1_shape(systems: Mapping[str, Mapping]) -> List[ShapeCheck]:
     """Evaluate the paper's qualitative signatures on measured rows.
 
-    ``rows`` are :class:`repro.analysis.report.Table1Row` objects (any
-    subset of C1..C14).  Checks that need specific rows are skipped
-    (reported passed with a note) when those rows are absent.
+    ``systems`` maps system names (any subset of C1..C14) to BENCH rows;
+    ``n_x`` comes from the benchmark registry.  Checks that need several
+    solved rows are left out when there are too few.
     """
-    by_name: Dict[str, object] = {r.name: r for r in rows}
+    rows = [
+        SimpleNamespace(
+            name=name,
+            n_x=get_benchmark(name).n_x,
+            success=row["outcome"] == "success",
+            d_b=row["d_B"],
+            t_learn=row["timings"]["T_l"],
+            t_verify=row["timings"]["T_v"],
+            t_total=row["timings"]["T_e"],
+        )
+        for name, row in systems.items()
+    ]
     checks: List[ShapeCheck] = []
 
     # 1. universal solvability with degree-2 certificates

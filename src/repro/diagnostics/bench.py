@@ -110,10 +110,8 @@ def error_entry(exc: BaseException) -> Dict[str, Any]:
     (a driver-level crash): ``outcome == "error"`` with
     the exception class recorded, so the table keeps its full coverage
     and the regression gate sees the failure class."""
-    try:
-        from repro.resilience.errors import ReproError
-    except ImportError:  # pragma: no cover - resilience always ships
-        ReproError = ()  # type: ignore[assignment]
+    from repro.resilience.errors import ReproError
+
     if isinstance(exc, ReproError):
         error = exc.to_dict()
     else:

@@ -53,13 +53,8 @@ def render_fleet_text(summary: Dict[str, Any]) -> str:
         f"== Fleet: {summary.get('n_runs', 0)} run(s) across "
         f"{summary.get('n_systems', 0)} system(s) =="
     )
-    extras = []
     if summary.get("n_incomplete"):
-        extras.append(f"incomplete={summary['n_incomplete']}")
-    if summary.get("n_parent_traces"):
-        extras.append(f"bench-parent traces={summary['n_parent_traces']}")
-    if extras:
-        lines.append("   " + "  ".join(extras))
+        lines.append(f"   incomplete={summary['n_incomplete']}")
     outcomes = summary.get("outcomes", {})
     if outcomes:
         lines.append(

@@ -27,7 +27,7 @@ Usage::
         result = SNBC(problem, config).run()
     prof.write("results/telemetry/C1-smoke")
 
-or pass ``--profile`` to ``benchmarks/run_bench_table1.py``.
+or pass ``--profile`` to ``python -m repro.analysis.report``.
 
 A signal-based sampler (``signal.setitimer``) would also catch C-level
 stalls, but only works on the main thread; the thread-based sampler

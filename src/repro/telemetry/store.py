@@ -16,11 +16,7 @@ a trace with no manifest, or whose manifest never recorded an outcome
 ``incomplete`` and ``incomplete: true`` on the record; malformed JSONL
 lines are skipped the same way the report CLIs skip them, and artifacts
 written before a given schema addition simply leave the corresponding
-fields empty.  Bench-parent traces (the merged ``bench-<scale>.jsonl``
-that older bench drivers wrote for process-pool runs, manifest
-``extra.role == "bench_parent"``) are indexed but excluded from the
-per-system aggregates so their merged copies of run spans never
-double-count.
+fields empty.
 The summary is a pure function of file contents — no clocks — so
 committed fixtures can pin it with a golden test; *live* staleness
 detection (heartbeat age) belongs to ``repro.telemetry.tail``.
@@ -60,9 +56,6 @@ class RunRecord:
     #: no manifest, or a manifest with no recorded outcome: the run died
     #: (or is still running) before ``session`` finalized its artifacts
     incomplete: bool = False
-    #: manifest ``extra.role`` — ``bench_parent`` marks a merged bench
-    #: driver trace, excluded from per-system aggregates
-    role: Optional[str] = None
     seed: Optional[int] = None
     git_sha: Optional[str] = None
     started_at: Optional[str] = None
@@ -84,7 +77,6 @@ class RunRecord:
             "scale": self.scale,
             "outcome": self.outcome,
             "incomplete": self.incomplete,
-            "role": self.role,
             "seed": self.seed,
             "git_sha": self.git_sha,
             "started_at": self.started_at,
@@ -202,8 +194,6 @@ def load_run(trace_path: str, root: Optional[str] = None) -> Optional[RunRecord]
         # rather than degrading to the pre-tracing "unknown"
         rec.outcome = str(outcome) if outcome else "incomplete"
         rec.incomplete = not outcome
-        role = (manifest.get("extra") or {}).get("role")
-        rec.role = str(role) if role else None
         seed = manifest.get("seed")
         rec.seed = int(seed) if isinstance(seed, int) else None
         rec.git_sha = manifest.get("git_sha")
@@ -274,20 +264,14 @@ def fleet_summary(records: Sequence[RunRecord]) -> Dict[str, Any]:
     Deterministic given the records (no clocks, no randomness): keys are
     sorted, floats rounded to 6 digits — suitable for golden tests.
     """
-    # bench-parent traces hold merged *copies* of each row's spans and
-    # metrics; aggregating them alongside the per-run traces would count
-    # every phase second and cache hit twice.  They stay in the ``runs``
-    # listing (they are real artifacts) but out of every aggregate.
-    aggregated = [r for r in records if r.role != "bench_parent"]
-
     systems: Dict[str, List[RunRecord]] = {}
-    for rec in aggregated:
+    for rec in records:
         systems.setdefault(rec.system, []).append(rec)
 
     outcome_hist: Dict[str, int] = {}
     convergence_total: Dict[str, int] = {}
     cache_totals: Dict[str, Dict[str, int]] = {}
-    for rec in aggregated:
+    for rec in records:
         outcome_hist[rec.outcome] = outcome_hist.get(rec.outcome, 0) + 1
         for cls, n in rec.convergence.items():
             convergence_total[cls] = convergence_total.get(cls, 0) + n
@@ -353,9 +337,8 @@ def fleet_summary(records: Sequence[RunRecord]) -> Dict[str, Any]:
     return {
         "schema_version": FLEET_SCHEMA_VERSION,
         "kind": "fleet_summary",
-        "n_runs": len(aggregated),
-        "n_parent_traces": len(records) - len(aggregated),
-        "n_incomplete": sum(1 for r in aggregated if r.incomplete),
+        "n_runs": len(records),
+        "n_incomplete": sum(1 for r in records if r.incomplete),
         "n_systems": len(systems),
         "outcomes": dict(sorted(outcome_hist.items())),
         "convergence": dict(sorted(convergence_total.items())),

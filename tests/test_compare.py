@@ -1,29 +1,33 @@
 """Tests for the Table 1 shape scorecard."""
 
-import pytest
-
-from repro.analysis.report import Table1Row
+from repro.analysis.report import run_row
+from repro.benchmarks import get_benchmark
 from repro.benchmarks.compare import check_table1_shape, format_scorecard
 
 
-def row(name, n_x, success=True, d_b=2, t_l=1.0, t_v=None, t_e=None):
-    t_v = t_v if t_v is not None else 0.1 * n_x ** 2
+def row(name, success=True, d_b=2, t_l=1.0, t_v=None, t_e=None):
+    """A BENCH ``systems`` row; ``n_x`` comes from the registry."""
+    t_v = t_v if t_v is not None else 0.1 * get_benchmark(name).n_x ** 2
     t_e = t_e if t_e is not None else t_l + t_v
-    return Table1Row(
-        name=name, n_x=n_x, d_f=2, nn_b="", nn_lambda="",
-        success=success, d_b=d_b if success else None, iterations=1,
-        t_learn=t_l, t_cex=0.0, t_verify=t_v, t_total=t_e,
-    )
+    return {
+        "outcome": "success" if success else "failure",
+        "iterations": 1,
+        "stalled": False,
+        "d_B": d_b if success else None,
+        "timings": {"T_l": t_l, "T_c": 0.0, "T_v": t_v, "T_e": t_e,
+                    "inclusion": 0.0},
+        "audit": None,
+    }
 
 
 def good_rows():
-    return [
-        row("C1", 2),
-        row("C6", 3),
-        row("C9", 5),
-        row("C12", 7),
-        row("C14", 12, t_v=100.0, t_e=101.5),
-    ]
+    return {
+        "C1": row("C1"),
+        "C6": row("C6"),
+        "C9": row("C9"),
+        "C12": row("C12"),
+        "C14": row("C14", t_v=100.0, t_e=101.5),
+    }
 
 
 def test_good_shape_all_pass():
@@ -36,25 +40,25 @@ def test_good_shape_all_pass():
 
 def test_failure_detected():
     rows = good_rows()
-    rows[2] = row("C9", 5, success=False)
+    rows["C9"] = row("C9", success=False)
     checks = {c.name: c for c in check_table1_shape(rows)}
     assert not checks["all_solved"].passed
 
 
 def test_wrong_degree_detected():
     rows = good_rows()
-    rows[0] = row("C1", 2, d_b=4)
+    rows["C1"] = row("C1", d_b=4)
     checks = {c.name: c for c in check_table1_shape(rows)}
     assert not checks["degree_2_everywhere"].passed
 
 
 def test_inverted_scaling_detected():
-    rows = [
-        row("C1", 2, t_v=100.0),
-        row("C6", 3, t_v=10.0),
-        row("C9", 5, t_v=1.0),
-        row("C12", 7, t_v=0.1),
-    ]
+    rows = {
+        "C1": row("C1", t_v=100.0),
+        "C6": row("C6", t_v=10.0),
+        "C9": row("C9", t_v=1.0),
+        "C12": row("C12", t_v=0.1),
+    }
     checks = {c.name: c for c in check_table1_shape(rows)}
     assert not checks["t_verify_grows_with_dimension"].passed
 
@@ -65,10 +69,11 @@ def test_scorecard_format():
     assert "scorecard" in text
 
 
-def test_measured_smoke_rows_pass_shape():
+def test_measured_smoke_rows_pass_shape(tmp_path):
     """Integration: real measured rows satisfy the paper's signatures."""
-    from repro.analysis.report import run_snbc_rows
-
-    rows = run_snbc_rows(["C1", "C6", "C9", "C12"], scale="smoke")
+    rows = {
+        name: run_row(name, "smoke", trace_dir=str(tmp_path))
+        for name in ("C1", "C6", "C9", "C12")
+    }
     checks = check_table1_shape(rows)
     assert all(c.passed for c in checks), format_scorecard(checks)

@@ -6,8 +6,8 @@ Also covers each ``SDPStatus.NUMERICAL_ERROR`` exit path in
 ``repro.sdp.ipm`` individually (satellite d of the robustness issue).
 """
 
+import json
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -20,8 +20,6 @@ from repro.poly import Polynomial
 from repro.resilience.faults import FaultSpec, active_plan, clear, fault_point
 from repro.sdp import SDPProblem, SDPStatus, solve_sdp
 from repro.sets import Box
-
-BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
 
 
 def unit(n, i, j):
@@ -203,53 +201,22 @@ def test_lp_failure_is_inclusion_error():
 
 
 # ----------------------------------------------------------------------
-# satellite (b)+(c): bench table continues past bad rows
+# the Table-1 runner continues past bad rows
 # ----------------------------------------------------------------------
-def _bench_modules(monkeypatch, tmp_path):
-    """The bench driver modules, with run traces redirected from the
-    committed ``results/telemetry/`` into ``tmp_path``."""
-    if BENCH_DIR not in sys.path:
-        sys.path.insert(0, BENCH_DIR)
-    import run_bench_table1
-    import table1_common
-
-    monkeypatch.setattr(
-        table1_common, "TELEMETRY_DIR", str(tmp_path / "telemetry")
-    )
-    return run_bench_table1, table1_common
-
-
 def test_bench_serial_records_error_row_and_continues(tmp_path, monkeypatch):
-    import argparse
+    from repro.analysis import report
 
-    driver, common = _bench_modules(monkeypatch, tmp_path)
-    common.BENCH_ROWS.clear()
-    args = argparse.Namespace(
-        checkpoint_dir=None, resume=False, time_budget=None
-    )
-    failures = []
-    # first C1 row hits the LP fault, the second system still runs clean
+    monkeypatch.setattr(report, "TRACE_DIR", str(tmp_path / "telemetry"))
+    out = tmp_path / "b.json"
+    # the C1 row hits the LP fault, the next system still runs clean
     with fi.inject(fi.lp_failure()) as plan:
-        driver._run_one_serial("C1", "smoke", args, failures)
-        driver._run_one_serial("C3", "smoke", args, failures)
+        code = report.main(["--systems", "C1,C3", "--out", str(out)])
     assert plan.fired_sites() == ["inclusion.lp"]
-    assert common.BENCH_ROWS["C1"]["outcome"] == "error"
-    assert common.BENCH_ROWS["C1"]["error"]["kind"] == "InclusionError"
-    assert common.BENCH_ROWS["C3"]["outcome"] == "success"
-    assert failures == ["C1"]
-    out = driver.main(["--systems", "C1", "--out", str(tmp_path / "b.json")])
-    common.BENCH_ROWS.clear()
-    assert out in (0, 1)  # document emitted either way
-
-
-def test_bench_parallel_worker_crash_row_without_retry():
-    from repro.diagnostics import error_entry
-    from repro.resilience import WorkerCrash
-
-    row = error_entry(WorkerCrash("pool worker died running C9", system="C9"))
-    assert row["outcome"] == "error"
-    assert row["error"]["kind"] == "WorkerCrash"
-    assert row["error"]["details"]["system"] == "C9"
+    assert code == 1
+    rows = json.loads(out.read_text())["systems"]
+    assert rows["C1"]["outcome"] == "error"
+    assert rows["C1"]["error"]["kind"] == "InclusionError"
+    assert rows["C3"]["outcome"] == "success"
 
 
 # -- certification-service sites (PR 9) ----------------------------------

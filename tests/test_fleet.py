@@ -8,9 +8,6 @@ families (the first two copied from real ``results/telemetry/`` runs):
 * ``C3-smoke`` — an older-schema trace with none of those fields.
 * ``C5-smoke`` — a partially-written family: manifest with no recorded
   outcome plus a stale ``.status.json`` heartbeat (a killed run).
-* ``bench-smoke`` — a ``--jobs`` bench-parent trace (manifest
-  ``extra.role == "bench_parent"``) holding merged copies of row spans;
-  indexed but excluded from aggregates.
 
 ``tests/data/fleet_golden.json`` pins the exact ``fleet_summary``
 aggregate over them.
@@ -113,9 +110,7 @@ def test_load_run_flags_truncated_trace(tmp_path):
 # ----------------------------------------------------------------------
 def test_scan_runs_finds_all_fixtures():
     records = scan_runs(FIXTURES)
-    assert [r.base for r in records] == [
-        "C1-smoke", "C3-smoke", "C5-smoke", "bench-smoke"
-    ]
+    assert [r.base for r in records] == ["C1-smoke", "C3-smoke", "C5-smoke"]
 
 
 def test_load_run_partial_family_is_incomplete():
@@ -128,25 +123,15 @@ def test_load_run_partial_family_is_incomplete():
     assert "learning" in rec.phases  # partial trace still contributes
 
 
-def test_load_run_bench_parent_role():
-    rec = load_run(os.path.join(FIXTURES, "bench-smoke.jsonl"), root=FIXTURES)
-    assert rec is not None
-    assert rec.role == "bench_parent"
-    assert rec.outcome == "success"
-    assert not rec.incomplete
-
-
 def test_fleet_summary_aggregates_fixtures():
     summary = fleet_summary(scan_runs(FIXTURES))
     assert summary["kind"] == "fleet_summary"
-    # bench-parent trace is listed but excluded from every aggregate
     assert summary["n_runs"] == 3
-    assert summary["n_parent_traces"] == 1
     assert summary["n_incomplete"] == 1
     assert summary["n_systems"] == 3
     assert summary["outcomes"] == {"incomplete": 1, "success": 2}
     assert set(summary["systems"]) == {"C1", "C3", "C5"}
-    assert len(summary["runs"]) == 4  # listing keeps the parent trace
+    assert len(summary["runs"]) == 3
     c1 = summary["systems"]["C1"]
     assert c1["runs"] == 1
     assert c1["scales"] == ["smoke"]
@@ -196,7 +181,6 @@ def test_fleet_cli_text_output(capsys):
     out = capsys.readouterr().out
     assert "3 run(s) across 3 system(s)" in out
     assert "incomplete=1" in out
-    assert "bench-parent traces=1" in out
     assert "C1-smoke" in out and "C3-smoke" in out
     assert "== Systems ==" in out
     assert "IPM convergence classes" in out
@@ -225,29 +209,6 @@ def test_fleet_cli_empty_root(tmp_path, capsys):
 def test_fleet_cli_missing_root(tmp_path, capsys):
     assert fleet_main([str(tmp_path / "absent")]) == 2
     assert "not a directory" in capsys.readouterr().err
-
-
-def test_fleet_round_trip_over_committed_results_tree():
-    """The committed results/telemetry artifacts must index cleanly.
-
-    Tolerant of extra uncommitted local runs in the tree — we only pin
-    the committed C1-smoke family (CI runs tests before regenerating
-    it), not the tree's total contents.
-    """
-    root = os.path.join(os.path.dirname(__file__), os.pardir, "results")
-    records = scan_runs(root)
-    assert records, "committed results/ tree should contain run traces"
-    by_base = {r.base: r for r in records}
-    assert "telemetry/C1-smoke" in by_base
-    c1 = by_base["telemetry/C1-smoke"]
-    assert c1.name == "table1/C1"
-    assert c1.outcome == "success"
-    assert c1.iterations == 2
-    summary = fleet_summary(records)
-    n_parents = sum(1 for r in records if r.role == "bench_parent")
-    assert summary["n_runs"] == len(records) - n_parents
-    assert "C1" in summary["systems"]
-    assert json.dumps(summary)  # JSON-clean end to end
 
 
 # ----------------------------------------------------------------------
@@ -288,17 +249,6 @@ def test_scan_tolerates_torn_trailing_line(tmp_path):
     assert len(records) == 1
     assert records[0].phases == {"inclusion": 0.2}
     assert records[0].incomplete
-
-
-def test_fleet_summary_excludes_bench_parent_from_aggregates():
-    records = scan_runs(FIXTURES)
-    summary = fleet_summary(records)
-    # the parent trace's merged span copies must not leak into any
-    # per-system phase totals ("smoke" is what its name would parse to)
-    assert "smoke" not in summary["systems"]
-    listed_roles = {r["base"]: r["role"] for r in summary["runs"]}
-    assert listed_roles["bench-smoke"] == "bench_parent"
-    assert listed_roles["C1-smoke"] is None
 
 
 def test_render_fleet_text_marks_truncated():

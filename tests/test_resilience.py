@@ -449,6 +449,7 @@ def test_error_entry_records_exception_class():
     row = error_entry(WorkerCrash("worker died", system="C9"))
     assert row["outcome"] == "error"
     assert row["error"]["kind"] == "WorkerCrash"
+    assert row["error"]["details"]["system"] == "C9"
     assert row["iterations"] == 0
     row2 = error_entry(RuntimeError("boom"))
     assert row2["error"] == {"kind": "RuntimeError", "message": "boom"}
