@@ -11,11 +11,11 @@ and records outcomes + per-cell timings::
         --out results/BENCH_scenarios.json
 
 The base seed is printed on stdout so any CI failure is replayable with
-one flag.  The emitted document is gated by
-``python -m repro.diagnostics.regress`` (kind auto-detected): hard on
-invariants — every outcome terminal, zero rational-recheck failures,
-minted expectations met — and on per-seed outcome / cell decomposition
-/ region-spec hash stability; verify timings only report.
+one flag.  The emitted BENCH document (kind ``BENCH_scenarios``, one row
+per seed) is gated by ``python -m repro.diagnostics.regress`` under the
+scenario policy: hard on the invariants — every outcome terminal, zero
+rational-recheck failures, minted expectations met — and on per-seed
+outcome / cell decomposition / region-spec hash stability.
 """
 
 from __future__ import annotations
@@ -23,16 +23,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.diagnostics.scenariobench import (
-    scenario_doc,
-    write_scenario_bench,
-)
-from repro.soundness.scenarios import batch_invariants, run_batch
+from repro.diagnostics.bench import bench_document, write_bench
+from repro.soundness.scenarios import batch_invariants, bench_rows, run_batch
 
 
 def main(argv=None) -> int:
@@ -56,21 +54,21 @@ def main(argv=None) -> int:
     )
     rows = run_batch(args.seed, args.count, time_budget_s=args.time_budget)
     invariants = batch_invariants(rows)
-    doc = scenario_doc(
-        scale=args.scale,
+    write_bench(args.out, bench_document(
+        "BENCH_scenarios",
+        args.scale,
+        bench_rows(rows),
         config={
             "base_seed": int(args.seed),
             "count": int(args.count),
             "time_budget_s": float(args.time_budget),
         },
-        rows=rows,
         invariants=invariants,
-    )
-    write_scenario_bench(args.out, doc)
+    ))
 
-    counts = doc["counts"]
+    counts = Counter(row.get("outcome") for row in rows)
     print(
-        f"wrote {args.out}: "
+        f"wrote {args.out}: total={len(rows)}, "
         + ", ".join(f"{k}={counts[k]}" for k in sorted(counts))
     )
     print(f"invariants: {invariants}")

@@ -19,9 +19,12 @@ records what the fault-tolerance machinery did::
 * ``--repeat`` re-submits the identical batch against the same root
   afterwards and records the cache hit rate (100% expected).
 
-The emitted document is gated by ``python -m repro.diagnostics.regress``
-(kind auto-detected): hard on invariants — every job terminal, zero
-corrupt entries served, serial identity — soft on chaos counters.
+The emitted BENCH document (kind ``BENCH_service``, one row per job key,
+plus ``counts`` and ``cache`` sections) is gated by
+``python -m repro.diagnostics.regress`` under the service policy: hard on
+the invariants — every job terminal, zero corrupt entries served, serial
+identity — on per-job status and on the cache hit rate; soft on the
+chaos counters.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.diagnostics.servicebench import service_doc, write_service_bench
+from repro.diagnostics.bench import bench_document, write_bench
 from repro.service import (
     CertificateCache,
     CertificationService,
@@ -165,8 +168,10 @@ def main(argv=None) -> int:
     scale = (
         "chaos" if (args.kill_worker or args.corrupt_cache) else "clean"
     )
-    doc = service_doc(
-        scale=scale,
+    write_bench(args.out, bench_document(
+        "BENCH_service",
+        scale,
+        jobs,
         config={
             "jobs": args.jobs,
             "workers": args.workers,
@@ -174,19 +179,17 @@ def main(argv=None) -> int:
             "faults": list(worker_faults)
             + (["cache_corrupt_entry"] if args.corrupt_cache else []),
         },
-        jobs=jobs,
-        counts=counts,
-        cache={
-            "hit_rate": hit_rate if hit_rate is not None else 0.0,
-            "evictions": len(evictions),
-        },
         invariants={
             "all_terminal": bool(results["all_terminal"]),
             "no_corrupt_served": bool(no_corrupt_served),
             "serial_identical": serial_identical,
         },
-    )
-    write_service_bench(args.out, doc)
+        counts=counts,
+        cache={
+            "hit_rate": hit_rate if hit_rate is not None else 0.0,
+            "evictions": len(evictions),
+        },
+    ))
     print(f"wrote {args.out}")
 
     ok = (

@@ -41,6 +41,7 @@ from repro.benchmarks import get_benchmark, list_benchmarks
 from repro.cegis import SNBC
 from repro.diagnostics import (
     audit_certificate,
+    bench_document,
     bench_entry,
     error_entry,
     result_outcome,
@@ -166,7 +167,7 @@ def _cells(name: str, row: Mapping) -> dict:
 
 
 def render_markdown(systems: Mapping[str, Mapping], scale: str) -> str:
-    """Render a BENCH document's ``systems`` rows as a markdown table
+    """Render a BENCH_table1 document's ``rows`` as a markdown table
     plus summary lines."""
     lines = [
         f"### Table 1 / SNBC columns (measured, scale={scale})",
@@ -195,7 +196,7 @@ def render_markdown(systems: Mapping[str, Mapping], scale: str) -> str:
 
 
 def render_text(systems: Mapping[str, Mapping], scale: str) -> str:
-    """Plain-text rendering of BENCH ``systems`` rows (terminals, logs)."""
+    """Plain-text rendering of BENCH_table1 ``rows`` (terminals, logs)."""
     table = Table(
         columns=["Ex.", "n_x", "d_f", "NN_B", "NN_lambda", "d_B", "I_s",
                  "T_l", "T_c", "T_v", "T_e"],
@@ -261,8 +262,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"  {name}: {status} in {row['timings']['T_e']:.2f}s "
               f"({row['iterations']} iterations){detail}", flush=True)
 
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    write_bench(args.out, systems, args.scale)
+    write_bench(args.out, bench_document("BENCH_table1", args.scale, systems))
     print()
     print(render_text(systems, args.scale))
     print(f"\nBENCH document written to {args.out}")

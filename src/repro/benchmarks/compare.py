@@ -2,7 +2,7 @@
 
 Absolute timings are incomparable across hardware/solvers; what a
 reproduction can check mechanically are the *qualitative signatures*.
-:func:`check_table1_shape` takes the ``systems`` rows of a BENCH document
+:func:`check_table1_shape` takes the ``rows`` of a ``BENCH_table1`` document
 (written by ``python -m repro.analysis.report``) and evaluates each
 signature, returning a scorecard used by EXPERIMENTS.md and the summary
 bench.

@@ -9,8 +9,10 @@ to answer *how well it went*:
 * :mod:`repro.diagnostics.audit` — independent numerical recheck of a
   synthesized certificate (Gram/IPM margins + dense-grid margins);
 * :mod:`repro.diagnostics.bench` / :mod:`repro.diagnostics.regress` —
-  the ``BENCH_table1.json`` schema and the CLI gate that compares two of
-  them (``python -m repro.diagnostics.regress OLD NEW``);
+  the one BENCH document schema (Table-1, scenario-sweep and service
+  kinds) and the CLI gate that compares two documents of one kind
+  against that kind's policy (``python -m repro.diagnostics.regress
+  OLD NEW``);
 * :mod:`repro.diagnostics.report` — per-run terminal summary + single
   file HTML dashboard (``python -m repro.diagnostics.report <run>``).
 
@@ -27,7 +29,7 @@ from repro.diagnostics.audit import (
     write_audit,
 )
 from repro.diagnostics.bench import (
-    BENCH_KIND,
+    BENCH_KINDS,
     BENCH_SCHEMA_VERSION,
     TIMING_KEYS,
     bench_document,
@@ -51,7 +53,7 @@ from repro.diagnostics.convergence import (
 
 __all__ = [
     "AUDIT_SCHEMA_VERSION",
-    "BENCH_KIND",
+    "BENCH_KINDS",
     "BENCH_SCHEMA_VERSION",
     "DEFAULT_STALL_WINDOW",
     "TIMING_KEYS",

@@ -1,43 +1,55 @@
-"""The ``BENCH_table1.json`` schema: one benchmark trajectory point.
+"""The BENCH document: one schema for every benchmark the repo gates.
 
-Every Table 1 harness run can be reduced to a flat JSON document of
-per-system rows — outcome, CEGIS iterations, the paper's phase timings
-``T_l``/``T_c``/``T_v``/``T_e``, and the audit margins — plus provenance
-(git SHA, platform, scale).  Two such documents are comparable by
+Three producers write it, each with its own ``kind``:
+
+* ``BENCH_table1`` — ``python -m repro.analysis.report``, one row per
+  Table-1 system (rows from :func:`bench_entry` / :func:`error_entry`);
+* ``BENCH_scenarios`` — ``benchmarks/run_bench_scenarios.py``, one row
+  per scenario seed (rows from :func:`repro.soundness.scenarios.bench_rows`);
+* ``BENCH_service`` — ``benchmarks/run_bench_service.py``, one row per
+  service job key.
+
+Two documents of one kind are compared by
 ``python -m repro.diagnostics.regress``, which is how the repo detects
-perf/outcome regressions against a committed baseline.
+outcome and performance regressions against a committed baseline.
 
-Schema (version 1)::
+Schema (version 2)::
 
     {
-      "schema_version": 1,
-      "kind": "BENCH_table1",
-      "scale": "smoke" | "paper",
+      "schema_version": 2,
+      "kind": "BENCH_table1" | "BENCH_scenarios" | "BENCH_service",
+      "scale": "smoke" | "paper" | "sweep" | "chaos" | "clean",
       "generated_at": "<iso8601>",
       "git_sha": "<sha or null>",
       "platform": {...},
-      "systems": {
-        "C1": {
-          "outcome": "success" | "failure" | "timeout" | "error",
-          "iterations": 1,
-          "stalled": false,
-          "d_B": 2,
-          "timings": {"T_l": ..., "T_c": ..., "T_v": ..., "T_e": ...,
-                      "inclusion": ...},
-          "audit": {"min_gram_eigenvalue": ..., "max_residual_bound": ...,
-                    "max_sdp_gap": ..., "min_grid_margin": ...} | null,
-          "soundness": {"ok": ..., "conditions": ...,
-                        "min_certified_margin": ...,
-                        "max_slack_shift": ...} | absent,
-          "error": {"kind": ..., "message": ..., ...} | absent
-        }, ...
-      }
+      "config": {...},              # producer settings, {} when none
+      "rows": {"<row key>": {...}, ...},
+      "invariants": {"<name>": <bool or null>, ...},
+      ...                           # kind-specific sections, e.g. the
+                                    # service's "counts" and "cache"
+    }
+
+A ``BENCH_table1`` row::
+
+    "C1": {
+      "outcome": "success" | "failure" | "timeout" | "error",
+      "iterations": 1,
+      "stalled": false,
+      "d_B": 2,
+      "timings": {"T_l": ..., "T_c": ..., "T_v": ..., "T_e": ...,
+                  "inclusion": ...},
+      "audit": {"min_gram_eigenvalue": ..., "max_residual_bound": ...,
+                "max_sdp_gap": ..., "min_grid_margin": ...} | null,
+      "soundness": {"ok": ..., "conditions": ...,
+                    "min_certified_margin": ...,
+                    "max_slack_shift": ...} | absent,
+      "error": {"kind": ..., "message": ..., ...} | absent
     }
 
 ``timeout`` is the paper's OOT (deadline overrun ended the run cleanly);
 ``error`` records a typed unrecoverable failure — both carry the failure
-under ``error``.  The additive fields keep the schema at version 1:
-documents written by older revisions load unchanged.
+under ``error``.  The scenario and service rows are documented in
+``docs/scenarios.md`` and ``docs/service.md``.
 """
 
 from __future__ import annotations
@@ -47,9 +59,12 @@ from datetime import datetime, timezone
 from typing import Any, Dict, Optional
 
 from repro.telemetry import collect_git_sha, platform_info
+from repro.utils.fileio import atomic_write_text
 
-BENCH_SCHEMA_VERSION = 1
-BENCH_KIND = "BENCH_table1"
+BENCH_SCHEMA_VERSION = 2
+
+#: the document kinds; ``regress`` holds one gate policy per kind
+BENCH_KINDS = ("BENCH_table1", "BENCH_scenarios", "BENCH_service")
 
 #: timing keys every entry carries (paper column names + phase 0)
 TIMING_KEYS = ("T_l", "T_c", "T_v", "T_e", "inclusion")
@@ -64,18 +79,14 @@ RESULT_OUTCOMES = {
 
 
 def result_outcome(result: Any) -> str:
-    """Bench-row outcome string for an SNBCResult (duck-typed; results
-    from revisions predating the ``outcome`` field map via ``success``)."""
-    outcome = getattr(result, "outcome", "")
-    if outcome in RESULT_OUTCOMES:
-        return RESULT_OUTCOMES[outcome]
-    return "success" if result.success else "failure"
+    """Bench-row outcome string for an SNBCResult."""
+    return RESULT_OUTCOMES[result.outcome]
 
 
 def bench_entry(
     result: Any, audit: Optional[Dict[str, Any]] = None
 ) -> Dict[str, Any]:
-    """One ``systems`` row from an :class:`~repro.cegis.snbc.SNBCResult`
+    """One ``BENCH_table1`` row from an :class:`~repro.cegis.snbc.SNBCResult`
     (duck-typed) and an optional audit artifact dict."""
     timings = result.timings
     entry = {
@@ -96,8 +107,8 @@ def bench_entry(
     }
     soundness = getattr(result, "soundness", None)
     if soundness is not None:
-        # additive key (schema stays v1): the exact recheck verdict plus
-        # the smallest exactly-certified margin across the conditions
+        # the exact recheck verdict plus the smallest exactly-certified
+        # margin across the conditions
         entry["soundness"] = soundness.summary()
     error = getattr(result, "error", None)
     if error:
@@ -106,7 +117,7 @@ def bench_entry(
 
 
 def error_entry(exc: BaseException) -> Dict[str, Any]:
-    """A ``systems`` row for a run that raised before producing a result
+    """A ``BENCH_table1`` row for a run that raised before producing a result
     (a driver-level crash): ``outcome == "error"`` with
     the exception class recorded, so the table keeps its full coverage
     and the regression gate sees the failure class."""
@@ -128,43 +139,51 @@ def error_entry(exc: BaseException) -> Dict[str, Any]:
 
 
 def bench_document(
-    systems: Dict[str, Dict[str, Any]], scale: str, **extra: Any
+    kind: str,
+    scale: str,
+    rows: Dict[str, Dict[str, Any]],
+    *,
+    config: Optional[Dict[str, Any]] = None,
+    invariants: Optional[Dict[str, Any]] = None,
+    **sections: Any,
 ) -> Dict[str, Any]:
-    """Assemble the full document around prepared ``systems`` rows."""
+    """Assemble one BENCH document around prepared ``rows``."""
+    if kind not in BENCH_KINDS:
+        raise ValueError(f"unknown BENCH kind {kind!r}")
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
-        "kind": BENCH_KIND,
+        "kind": kind,
         "scale": scale,
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "git_sha": collect_git_sha(),
         "platform": platform_info(),
-        "systems": dict(systems),
-        **extra,
+        "config": dict(config or {}),
+        "rows": dict(rows),
+        "invariants": dict(invariants or {}),
+        **sections,
     }
 
 
-def write_bench(
-    path: str, systems: Dict[str, Dict[str, Any]], scale: str, **extra: Any
-) -> Dict[str, Any]:
-    """Write a BENCH document to ``path``; returns the document."""
-    doc = bench_document(systems, scale, **extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+def write_bench(path: str, doc: Dict[str, Any]) -> Dict[str, Any]:
+    """Atomically write ``doc`` to ``path``; returns the document."""
+    atomic_write_text(
+        path, json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+    )
     return doc
 
 
 def load_bench(path: str) -> Dict[str, Any]:
-    """Read and schema-check a BENCH document."""
+    """Read and schema-check a BENCH document of any kind."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("kind") != BENCH_KIND:
-        raise ValueError(f"{path}: not a {BENCH_KIND} document")
+    if not isinstance(doc, dict) or doc.get("kind") not in BENCH_KINDS:
+        raise ValueError(f"{path}: not a BENCH document")
     if doc.get("schema_version") != BENCH_SCHEMA_VERSION:
         raise ValueError(
             f"{path}: unsupported schema_version "
             f"{doc.get('schema_version')!r} (expected {BENCH_SCHEMA_VERSION})"
         )
-    if not isinstance(doc.get("systems"), dict):
-        raise ValueError(f"{path}: missing 'systems' mapping")
+    for field in ("rows", "invariants"):
+        if not isinstance(doc.get(field), dict):
+            raise ValueError(f"{path}: missing/invalid {field!r}")
     return doc

@@ -1,40 +1,38 @@
-"""Benchmark regression gate.
+"""Benchmark regression gate: one differ for every BENCH document kind.
 
-    python -m repro.diagnostics.regress OLD.json NEW.json --max-slowdown 1.3
-    python -m repro.diagnostics.regress base.json new.json --systems C1,C3
-    python -m repro.diagnostics.regress base.json new.json --ignore-timings
+    python -m repro.diagnostics.regress OLD.json NEW.json
+    python -m repro.diagnostics.regress base.json new.json --max-slowdown 20
+    python -m repro.diagnostics.regress base.json new.json --only C1,C3
 
-The document kind is auto-detected.  For ``BENCH_table1.json`` documents
-(see :mod:`repro.diagnostics.bench`) the gate compares system by system
-and **exits nonzero** when the new run regressed:
+Both documents must be BENCH documents of one kind (see
+:mod:`repro.diagnostics.bench`).  The gate is that kind's entry in
+:data:`POLICIES`; a hard check **exits nonzero**, a soft one warns:
 
-* **outcome** — a system that succeeded in OLD but not in NEW, or one
-  that ran to completion in OLD (``success``/``failure``) and now ends
-  with ``timeout``/``error`` — a new failure class gates hard;
-* **iterations** — more CEGIS iterations than OLD allows
-  (``--max-extra-iterations``, default 0: the loop is seeded and
-  deterministic, so extra rounds are a real behavior change);
-* **time** — any of ``T_l``/``T_c``/``T_v``/``T_e`` beyond
-  ``--max-slowdown`` times the OLD value, ignoring timings below
-  ``--min-seconds`` (tiny phases are all noise);
-* **coverage** — a system present in OLD but missing from NEW
-  (disable with ``--allow-missing``).
+* ``BENCH_table1`` — hard: the outcome rank may not fall (success >
+  failure > timeout = error, so both "success regressed" and "a run that
+  completed now times out or errors" gate); iterations may not rise on
+  success rows (the loop is seeded, so an extra round is a behaviour
+  change — on the C1 smoke row it also pins which optimal vertex the
+  inclusion LP (5) returns, so a move there is a vertex change, not
+  necessarily a quality loss); a ``T_l``/``T_c``/``T_v``/``T_e``/
+  ``inclusion`` timing may not exceed ``--max-slowdown`` times OLD where
+  OLD is at least 0.05 s.  Soft: ``audit.min_grid_margin`` flipping sign
+  (margins move with every retrain; the exact recheck covers soundness)
+  and a scale mismatch.
+* ``BENCH_scenarios`` — hard: per seed, ``outcome``, ``cells`` and
+  ``psi_spec_key`` unchanged (the factory is a pure function of the
+  seed); the invariants ``all_terminal``, ``no_soundness_failures`` and
+  ``expectations_met`` hold in NEW.
+* ``BENCH_service`` — hard: the job status rank may not fall (success >
+  dead_letter); ``all_terminal`` and ``no_corrupt_served`` hold in NEW;
+  ``serial_identical`` holds in NEW where it held in OLD;
+  ``cache.hit_rate`` is at least OLD's.  Soft: ``counts.retries`` and
+  ``counts.redeliveries`` changing (how often chaos strikes is the fault
+  plan's business, surviving it is the service's).
 
-Audit-margin changes (e.g. a grid margin flipping sign) are reported as
-warnings but do not gate: margins move with every retrain and the hard
-outcome check already covers soundness.
-
-For ``BENCH_service.json`` documents (see
-:mod:`repro.diagnostics.servicebench`) the gate is hard on the chaos
-invariants (every job terminal, zero corrupt cache entries served,
-serial identity preserved), per-key outcome, and cache hit rate;
-retry/redelivery counts only warn.
-
-For ``BENCH_scenarios.json`` documents (see
-:mod:`repro.diagnostics.scenariobench`) the gate is hard on the sweep
-invariants (every outcome terminal, zero rational-recheck failures,
-minted expectations met), per-seed outcome, cell decomposition, and
-region-spec hash; verify timings only report.
+Coverage is hard for every kind: a row present in OLD but missing from
+NEW fails unless ``--allow-missing``.  ``--only`` restricts the row
+checks to the named rows.
 
 Exit codes: 0 no regression, 1 regression(s), 2 unreadable/invalid input.
 """
@@ -42,146 +40,205 @@ Exit codes: 0 no regression, 1 regression(s), 2 unreadable/invalid input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.diagnostics.bench import BENCH_KIND, TIMING_KEYS, load_bench
-from repro.diagnostics.scenariobench import (
-    SCENARIO_KIND,
-    compare_scenario_benches,
-    load_scenario_bench,
-    render_scenario_table,
-)
-from repro.diagnostics.servicebench import (
-    SERVICE_KIND,
-    compare_service_benches,
-    load_service_bench,
-    render_service_table,
-)
+from repro.diagnostics.bench import TIMING_KEYS, load_bench
+
+#: OLD timings below this are noise and never gate
+MIN_SECONDS = 0.05
+
+#: The gate, per document kind.  Row checks: ``outcome`` is the row's
+#: outcome column with its rank (the rank may not fall; ``None``: the
+#: outcome may not change at all); ``same`` columns may not change;
+#: ``no_rise`` columns may not rise on success rows; ``slowdown`` timings
+#: may not exceed ``max_slowdown`` times OLD; ``warn_sign`` values warn
+#: when they turn non-positive.  Document checks: ``hold`` invariants
+#: must be true in NEW, ``keep`` invariants true in NEW where true in
+#: OLD; ``no_fall`` values may not drop below OLD; ``warn_change``
+#: values warn when they change.  Dotted names reach into nested dicts.
+POLICIES: Dict[str, Dict[str, Any]] = {
+    "BENCH_table1": {
+        "outcome": (
+            "outcome", {"success": 2, "failure": 1, "timeout": 0, "error": 0}
+        ),
+        "no_rise": ("iterations",),
+        "slowdown": tuple(f"timings.{key}" for key in TIMING_KEYS),
+        "warn_sign": ("audit.min_grid_margin",),
+        "warn_change": ("scale",),
+    },
+    "BENCH_scenarios": {
+        "outcome": ("outcome", None),
+        "same": ("cells", "psi_spec_key"),
+        "hold": ("all_terminal", "no_soundness_failures", "expectations_met"),
+    },
+    "BENCH_service": {
+        "outcome": ("status", {"success": 1, "dead_letter": 0}),
+        "hold": ("all_terminal", "no_corrupt_served"),
+        "keep": ("serial_identical",),
+        "no_fall": ("cache.hit_rate",),
+        "warn_change": ("counts.retries", "counts.redeliveries"),
+    },
+}
 
 
-def compare_benches(
+def _get(doc: Any, name: str) -> Any:
+    for part in name.split("."):
+        doc = doc.get(part) if isinstance(doc, dict) else None
+    return doc
+
+
+def compare(
     old: Dict[str, Any],
     new: Dict[str, Any],
+    *,
     max_slowdown: float = 1.3,
-    min_seconds: float = 0.05,
-    max_extra_iterations: int = 0,
-    systems: Optional[Sequence[str]] = None,
+    only: Optional[Sequence[str]] = None,
     allow_missing: bool = False,
-    ignore_timings: bool = False,
 ) -> Dict[str, List[str]]:
-    """Pure comparison; returns ``{"regressions": [...], "warnings": [...]}``."""
+    """Gate NEW against OLD; returns ``{"regressions": [...],
+    "warnings": [...]}``."""
+    if old["kind"] != new["kind"]:
+        raise ValueError(f"kind mismatch: {old['kind']!r} vs {new['kind']!r}")
+    policy = POLICIES[old["kind"]]
     regressions: List[str] = []
     warnings: List[str] = []
-    old_systems = old["systems"]
-    new_systems = new["systems"]
-    names = list(old_systems) if systems is None else [
-        s for s in systems if s in old_systems
-    ]
-    if systems is not None:
-        for s in systems:
-            if s not in old_systems:
-                warnings.append(f"{s}: not in OLD baseline; skipped")
-    if old.get("scale") != new.get("scale"):
-        warnings.append(
-            f"scale mismatch: OLD={old.get('scale')!r} NEW={new.get('scale')!r}"
-            " — timing comparison is apples-to-oranges"
-        )
 
-    for name in names:
-        o = old_systems[name]
-        n = new_systems.get(name)
+    for name in policy.get("hold", ()):
+        if not new["invariants"].get(name):
+            regressions.append(f"invariant {name} fails in NEW")
+    for name in policy.get("keep", ()):
+        if old["invariants"].get(name) and not new["invariants"].get(name):
+            regressions.append(f"invariant {name} held in OLD, fails in NEW")
+    for name in policy.get("no_fall", ()):
+        o, n = float(_get(old, name) or 0.0), float(_get(new, name) or 0.0)
+        if n + 1e-9 < o:
+            regressions.append(f"{name} fell: {o:.4g} -> {n:.4g}")
+    for name in policy.get("warn_change", ()):
+        o, n = _get(old, name), _get(new, name)
+        if o != n:
+            warnings.append(f"{name} changed: {o!r} -> {n!r}")
+
+    old_rows, new_rows = old["rows"], new["rows"]
+    keys = list(old_rows)
+    if only is not None:
+        warnings.extend(
+            f"{key}: not in OLD baseline; skipped"
+            for key in only if key not in old_rows
+        )
+        keys = [key for key in only if key in old_rows]
+    column, rank = policy["outcome"]
+    for key in keys:
+        o, n = old_rows[key], new_rows.get(key)
         if n is None:
             (warnings if allow_missing else regressions).append(
-                f"{name}: present in OLD but missing from NEW"
+                f"{key}: present in OLD but missing from NEW"
             )
             continue
-        if o["outcome"] == "success" and n["outcome"] != "success":
+        o_out, n_out = o.get(column), n.get(column)
+        if rank is None and o_out != n_out:
+            regressions.append(f"{key}: {column} flipped ({o_out} -> {n_out})")
+            continue  # the rest of a changed row is not comparable
+        if rank is not None and rank.get(n_out, 0) < rank.get(o_out, 0):
+            error = (n.get("error") or {}).get("kind")
             regressions.append(
-                f"{name}: outcome regressed ({o['outcome']} -> {n['outcome']})"
-            )
-            continue  # timings of a failed run are not comparable
-        if n["outcome"] in ("timeout", "error") and o["outcome"] not in (
-            "timeout",
-            "error",
-        ):
-            # a system that used to run to completion (even unsuccessfully)
-            # now dies on a deadline or a typed failure: a new failure
-            # class is a hard regression, not a tolerable flake
-            regressions.append(
-                f"{name}: new failure class "
-                f"({o['outcome']} -> {n['outcome']}"
-                + (
-                    f", {n['error'].get('kind')}" if n.get("error") else ""
-                )
-                + ")"
+                f"{key}: {column} regressed ({o_out} -> {n_out}"
+                + (f", {error}" if error else "") + ")"
             )
             continue
-        if o["outcome"] == "success":
-            extra = int(n["iterations"]) - int(o["iterations"])
-            if extra > max_extra_iterations:
+        for name in policy.get("same", ()):
+            if o.get(name) != n.get(name):
                 regressions.append(
-                    f"{name}: iterations {o['iterations']} -> "
-                    f"{n['iterations']} (+{extra} > "
-                    f"allowed +{max_extra_iterations})"
+                    f"{key}: {name} changed ({o.get(name)} -> {n.get(name)})"
                 )
-        if not ignore_timings:
-            for key in TIMING_KEYS:
-                t_old = float(o["timings"].get(key, 0.0))
-                t_new = float(n["timings"].get(key, 0.0))
-                if t_old < min_seconds:
-                    continue
-                if t_new > t_old * max_slowdown:
-                    regressions.append(
-                        f"{name}: {key} {t_old:.3f}s -> {t_new:.3f}s "
-                        f"({t_new / t_old:.2f}x > {max_slowdown:.2f}x)"
-                    )
-        o_audit, n_audit = o.get("audit"), n.get("audit")
-        if o_audit and n_audit:
-            o_m = o_audit.get("min_grid_margin")
-            n_m = n_audit.get("min_grid_margin")
-            if o_m is not None and n_m is not None and o_m > 0 >= n_m:
+        for name in policy.get("no_rise", ()):
+            if o_out == "success" and int(n[name]) > int(o[name]):
+                regressions.append(
+                    f"{key}: {name} rose ({o[name]} -> {n[name]})"
+                )
+        for name in policy.get("slowdown", ()):
+            t_old = float(_get(o, name) or 0.0)
+            t_new = float(_get(n, name) or 0.0)
+            if t_old >= MIN_SECONDS and t_new > t_old * max_slowdown:
+                regressions.append(
+                    f"{key}: {name} {t_old:.3f}s -> {t_new:.3f}s "
+                    f"({t_new / t_old:.2f}x > {max_slowdown:.2f}x)"
+                )
+        for name in policy.get("warn_sign", ()):
+            o_v, n_v = _get(o, name), _get(n, name)
+            if o_v is not None and n_v is not None and o_v > 0 >= n_v:
                 warnings.append(
-                    f"{name}: min grid margin flipped sign "
-                    f"({o_m:.3e} -> {n_m:.3e})"
+                    f"{key}: {name} flipped sign ({o_v:.3e} -> {n_v:.3e})"
                 )
     return {"regressions": regressions, "warnings": warnings}
 
 
-def _detect_kind(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return str(json.load(fh).get("kind", ""))
-
-
-def _render_table(old: Dict[str, Any], new: Dict[str, Any]) -> str:
-    header = f"{'system':<8}{'outcome':<20}{'iters':<12}{'T_e old':>10}{'T_e new':>10}{'ratio':>8}"
+def render(old: Dict[str, Any], new: Dict[str, Any]) -> str:
+    """The row table (OLD and NEW outcome per row) plus outcome counts
+    and flips."""
+    column = POLICIES[old["kind"]]["outcome"][0]
+    old_rows, new_rows = old["rows"], new["rows"]
+    header = f"{'row':<18}{'OLD ' + column:<14}{'NEW ' + column:<14}"
     lines = [header, "-" * len(header)]
-    for name in sorted(set(old["systems"]) | set(new["systems"])):
-        o = old["systems"].get(name)
-        n = new["systems"].get(name)
-
-        def fmt(entry, key, sub=None):
-            if entry is None:
-                return "-"
-            value = entry.get(key) if sub is None else entry[key].get(sub)
-            return str(value)
-
-        t_old = float(o["timings"]["T_e"]) if o else float("nan")
-        t_new = float(n["timings"]["T_e"]) if n else float("nan")
-        ratio = t_new / t_old if o and n and t_old > 0 else float("nan")
+    for key in sorted(set(old_rows) | set(new_rows)):
+        o = old_rows.get(key, {}).get(column, "-")
+        n = new_rows.get(key, {}).get(column, "-")
+        lines.append(f"{key[:16]:<18}{o!s:<14}{n!s:<14}")
+    for label, rows in (("OLD", old_rows), ("NEW", new_rows)):
+        counts = Counter(str(row.get(column)) for row in rows.values())
         lines.append(
-            f"{name:<8}"
-            f"{fmt(o, 'outcome') + '->' + fmt(n, 'outcome'):<20}"
-            f"{fmt(o, 'iterations') + '->' + fmt(n, 'iterations'):<12}"
-            f"{t_old:>10.3f}{t_new:>10.3f}{ratio:>8.2f}"
+            f"{label} {column} counts: "
+            + (", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+               or "none")
         )
+    flips = Counter(
+        f"{o.get(column)} -> {new_rows[key].get(column)}"
+        for key, o in old_rows.items()
+        if key in new_rows and o.get(column) != new_rows[key].get(column)
+    )
+    lines.append(
+        f"outcome flips: {sum(flips.values())}"
+        + "".join(f"\n  {flip}: {n}" for flip, n in sorted(flips.items()))
+    )
     return "\n".join(lines)
 
 
-def _report(table: str, outcome: Dict[str, List[str]]) -> int:
-    """Print the comparison table and verdict; the CLI exit code."""
-    print(table)
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.diagnostics.regress", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("old", help="baseline BENCH document")
+    parser.add_argument("new", help="candidate BENCH document of the same kind")
+    parser.add_argument("--max-slowdown", type=float, default=1.3,
+                        help="allowed per-timing ratio NEW/OLD (default 1.3)")
+    parser.add_argument("--only", default=None,
+                        help="comma-separated row keys to compare")
+    parser.add_argument("--allow-missing", action="store_true",
+                        help="rows missing from NEW warn instead of fail")
+    args = parser.parse_args(argv)
+
+    only = (
+        [key.strip() for key in args.only.split(",") if key.strip()]
+        if args.only
+        else None
+    )
+    try:
+        old = load_bench(args.old)
+        new = load_bench(args.new)
+        outcome = compare(
+            old,
+            new,
+            max_slowdown=args.max_slowdown,
+            only=only,
+            allow_missing=args.allow_missing,
+        )
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    print(render(old, new))
     for w in outcome["warnings"]:
         print(f"warning: {w}")
     if outcome["regressions"]:
@@ -191,79 +248,6 @@ def _report(table: str, outcome: Dict[str, List[str]]) -> int:
         return 1
     print("\nno regressions")
     return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.diagnostics.regress", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("old", help="baseline BENCH_table1.json")
-    parser.add_argument("new", help="candidate BENCH_table1.json")
-    parser.add_argument("--max-slowdown", type=float, default=1.3,
-                        help="allowed per-timing ratio NEW/OLD (default 1.3)")
-    parser.add_argument("--min-seconds", type=float, default=0.05,
-                        help="ignore OLD timings below this (default 0.05)")
-    parser.add_argument("--max-extra-iterations", type=int, default=0,
-                        help="allowed CEGIS iteration increase (default 0)")
-    parser.add_argument("--systems", default=None,
-                        help="comma-separated subset to compare")
-    parser.add_argument("--allow-missing", action="store_true",
-                        help="missing systems in NEW warn instead of fail")
-    parser.add_argument("--ignore-timings", action="store_true",
-                        help="gate only on outcome/iterations/coverage")
-    args = parser.parse_args(argv)
-
-    try:
-        kind_old = _detect_kind(args.old)
-        kind_new = _detect_kind(args.new)
-        if kind_old != kind_new:
-            raise ValueError(
-                f"kind mismatch: {args.old} is {kind_old!r}, "
-                f"{args.new} is {kind_new!r}"
-            )
-        if kind_old == SERVICE_KIND:
-            old = load_service_bench(args.old)
-            new = load_service_bench(args.new)
-        elif kind_old == SCENARIO_KIND:
-            old = load_scenario_bench(args.old)
-            new = load_scenario_bench(args.new)
-        elif kind_old == BENCH_KIND:
-            old = load_bench(args.old)
-            new = load_bench(args.new)
-        else:
-            raise ValueError(f"{args.old}: unknown document kind {kind_old!r}")
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if kind_old == SCENARIO_KIND:
-        return _report(
-            render_scenario_table(old, new),
-            compare_scenario_benches(old, new, allow_missing=args.allow_missing),
-        )
-    if kind_old == SERVICE_KIND:
-        return _report(
-            render_service_table(old, new),
-            compare_service_benches(old, new, allow_missing=args.allow_missing),
-        )
-
-    systems = (
-        [s.strip() for s in args.systems.split(",") if s.strip()]
-        if args.systems
-        else None
-    )
-    outcome = compare_benches(
-        old,
-        new,
-        max_slowdown=args.max_slowdown,
-        min_seconds=args.min_seconds,
-        max_extra_iterations=args.max_extra_iterations,
-        systems=systems,
-        allow_missing=args.allow_missing,
-        ignore_timings=args.ignore_timings,
-    )
-    return _report(_render_table(old, new), outcome)
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from repro.diagnostics.audit import load_audit
 from repro.diagnostics.convergence import convergence_summary
 from repro.diagnostics.html import render_dashboard
 from repro.telemetry.report import metrics_summary, phase_totals
+from repro.telemetry.spans import read_trace
 
 
 def resolve_run(run: str) -> Dict[str, Optional[str]]:
@@ -50,23 +51,6 @@ def resolve_run(run: str) -> Dict[str, Optional[str]]:
         "manifest": manifest if os.path.exists(manifest) else None,
         "audit": audit if os.path.exists(audit) else None,
     }
-
-
-def read_trace(path: str) -> Dict[str, Any]:
-    """Tolerant JSONL read; counts (instead of dying on) malformed lines
-    so a crashed run's partial final record doesn't hide the rest."""
-    events: List[Dict[str, Any]] = []
-    skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                skipped += 1
-    return {"events": events, "skipped": skipped}
 
 
 def _fmt(x: Any) -> str:
@@ -213,11 +197,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     paths = resolve_run(args.run)
     try:
-        trace = read_trace(paths["trace"])
+        events, skipped = read_trace(paths["trace"])
     except OSError as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return 2
-    events, skipped = trace["events"], trace["skipped"]
     if skipped and not events:
         print(
             f"error: all {skipped} line(s) of the trace are malformed",

@@ -17,13 +17,12 @@ corrupts the previous checkpoint), and RNG state helpers.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from typing import Any, Dict
 
 import numpy as np
 
 from repro.resilience.errors import CheckpointError
+from repro.utils.fileio import atomic_write_text
 
 CHECKPOINT_KIND = "SNBC_checkpoint"
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -46,22 +45,8 @@ def save_checkpoint(path: str, payload: Dict[str, Any]) -> None:
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         **payload,
     }
-    directory = os.path.dirname(os.path.abspath(path))
     try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(path, json.dumps(doc))
     except OSError as exc:
         raise CheckpointError(
             f"cannot write checkpoint to {path}: {exc}",

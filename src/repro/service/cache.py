@@ -33,12 +33,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from typing import Any, Dict, Optional
 
 from repro.resilience.faults import fired
 from repro.service.request import CertificationRequest, canonical_json, request_key
 from repro.telemetry import get_telemetry
+from repro.utils.fileio import atomic_write_text
 
 CACHE_KIND = "repro_certificate_cache_entry"
 CACHE_SCHEMA_VERSION = 1
@@ -97,22 +97,9 @@ class CertificateCache:
             "payload": payload,
             "payload_sha256": payload_digest(payload),
         }
-        path = self.path_for(key)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=directory, prefix=f"{key[:8]}.", suffix=".tmp"
+        atomic_write_text(
+            self.path_for(key), json.dumps(entry, separators=(",", ":"))
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, separators=(",", ":"))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         return key
 
     def evict(self, key: str, layer: str = "", message: str = "") -> None:

@@ -264,6 +264,27 @@ def run_batch(
     ]
 
 
+def bench_rows(
+    rows: Sequence[Dict[str, Any]],
+) -> Dict[str, Dict[str, Any]]:
+    """The ``BENCH_scenarios`` rows of a batch, keyed by seed."""
+    out: Dict[str, Dict[str, Any]] = {}
+    for row in rows:
+        entry: Dict[str, Any] = {
+            "outcome": row.get("outcome"),
+            "expected": row.get("expected"),
+            "n_obstacles": int(row.get("params", {}).get("n_obstacles", 0)),
+            "cells": dict(row.get("cells", {})),
+            "psi_spec_key": row.get("psi_spec_key"),
+            "soundness_ok": row.get("soundness_ok"),
+            "elapsed_seconds": float(row.get("elapsed_seconds", 0.0)),
+        }
+        if row.get("error"):
+            entry["error"] = dict(row["error"])
+        out[str(row["seed"])] = entry
+    return out
+
+
 def batch_invariants(rows: Sequence[Dict[str, Any]]) -> Dict[str, bool]:
     """The hard invariants the regress gate checks on a batch."""
     return {

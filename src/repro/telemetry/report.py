@@ -32,7 +32,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry.spans import load_events
+from repro.telemetry.spans import read_trace
 
 #: canonical pipeline order for the phase table
 PHASE_ORDER = ["inclusion", "learning", "verification", "counterexample"]
@@ -347,18 +347,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     # tolerate truncated/corrupt lines: a crashed run leaves a partial
     # final record, and its trace is exactly the one worth reading
-    events: List[Dict[str, Any]] = []
-    skipped = 0
     try:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    events.append(json.loads(line))
-                except json.JSONDecodeError:
-                    skipped += 1
+        events, skipped = read_trace(args.trace)
     except OSError as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return 2

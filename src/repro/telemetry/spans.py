@@ -23,7 +23,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, TextIO
+from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
 
 
 class NullSink:
@@ -183,6 +183,24 @@ def load_events(path: str) -> List[Dict[str, Any]]:
             if line:
                 events.append(json.loads(line))
     return events
+
+
+def read_trace(path: str) -> Tuple[List[Dict[str, Any]], int]:
+    """Tolerant :func:`load_events`: ``(events, skipped)``, counting
+    malformed lines instead of dying on them, so a crashed run's torn
+    final record does not hide the rest of its trace."""
+    events: List[Dict[str, Any]] = []
+    skipped = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                events.append(json.loads(line))
+            except json.JSONDecodeError:
+                skipped += 1
+    return events, skipped
 
 
 @dataclass

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from typing import Any, Dict, Optional
+
+from repro.utils.fileio import atomic_write_text
 
 STATUS_SCHEMA_VERSION = 1
 
@@ -102,14 +103,11 @@ class StatusWriter:
     # -- IO -------------------------------------------------------------
     def _write(self, now: Optional[float] = None) -> None:
         self.state["heartbeat_wall"] = time.time()
-        directory = os.path.dirname(os.path.abspath(self.path)) or "."
         try:
-            fd, tmp = tempfile.mkstemp(
-                prefix=".status-", suffix=".tmp", dir=directory
+            atomic_write_text(
+                self.path,
+                json.dumps(self.state, separators=(",", ":"), default=str),
             )
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self.state, fh, separators=(",", ":"), default=str)
-            os.replace(tmp, self.path)
         except OSError:
             # a heartbeat must never take a run down (read-only results
             # tree, disk full); the run carries on without one

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.report import cache_rates, metrics_summary, phase_totals
+from repro.telemetry.spans import read_trace
 
 FLEET_SCHEMA_VERSION = 1
 
@@ -90,22 +91,6 @@ class RunRecord:
             "truncated": self.truncated,
             "n_events": self.n_events,
         }
-
-
-def _read_events(path: str) -> Tuple[List[Dict[str, Any]], int]:
-    """Tolerant JSONL read (same policy as the report CLIs)."""
-    events: List[Dict[str, Any]] = []
-    skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                skipped += 1
-    return events, skipped
 
 
 def _load_json(path: str) -> Optional[Dict[str, Any]]:
@@ -175,7 +160,7 @@ def load_run(trace_path: str, root: Optional[str] = None) -> Optional[RunRecord]
     JSON lines at all (e.g. a stray non-trace ``.jsonl``).
     """
     try:
-        events, skipped = _read_events(trace_path)
+        events, skipped = read_trace(trace_path)
     except OSError:
         return None
     if not events and skipped:

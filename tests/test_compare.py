@@ -6,7 +6,7 @@ from repro.benchmarks.compare import check_table1_shape, format_scorecard
 
 
 def row(name, success=True, d_b=2, t_l=1.0, t_v=None, t_e=None):
-    """A BENCH ``systems`` row; ``n_x`` comes from the registry."""
+    """A ``BENCH_table1`` row; ``n_x`` comes from the registry."""
     t_v = t_v if t_v is not None else 0.1 * get_benchmark(name).n_x ** 2
     t_e = t_e if t_e is not None else t_l + t_v
     return {

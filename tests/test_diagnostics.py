@@ -9,6 +9,7 @@ from repro.benchmarks import get_benchmark
 from repro.cegis import SNBC, SNBCConfig
 from repro.diagnostics import (
     audit_certificate,
+    bench_document,
     bench_entry,
     convergence_summary,
     detect_stall,
@@ -17,7 +18,7 @@ from repro.diagnostics import (
     write_audit,
     write_bench,
 )
-from repro.diagnostics.regress import compare_benches
+from repro.diagnostics.regress import compare
 from repro.diagnostics.regress import main as regress_main
 from repro.diagnostics.report import main as report_main
 from repro.diagnostics.report import resolve_run
@@ -257,15 +258,20 @@ def test_bench_entry_from_result(c1_run):
     assert entry["audit"]["min_grid_margin"] > 0
 
 
+def _table1_doc(rows, scale="smoke"):
+    return bench_document("BENCH_table1", scale, rows)
+
+
 def test_bench_write_load_roundtrip(tmp_path):
     path = str(tmp_path / "BENCH_table1.json")
-    doc = write_bench(path, {"C1": _bench_row()}, "smoke")
+    doc = write_bench(path, _table1_doc({"C1": _bench_row()}))
     loaded = load_bench(path)
     assert loaded["kind"] == "BENCH_table1"
-    assert loaded["schema_version"] == 1
+    assert loaded["schema_version"] == 2
     assert loaded["scale"] == "smoke"
-    assert loaded["systems"]["C1"]["outcome"] == "success"
-    assert doc["systems"] == loaded["systems"]
+    assert loaded["rows"]["C1"]["outcome"] == "success"
+    assert doc["rows"] == loaded["rows"]
+    assert loaded["invariants"] == {} and loaded["config"] == {}
     with open(path, "w") as fh:
         json.dump({"kind": "something_else"}, fh)
     with pytest.raises(ValueError):
@@ -273,50 +279,45 @@ def test_bench_write_load_roundtrip(tmp_path):
 
 
 def test_compare_benches_pure():
-    old = {"scale": "smoke", "systems": {"C1": _bench_row(t=1.0)}}
-    same = {"scale": "smoke", "systems": {"C1": _bench_row(t=1.0)}}
-    assert compare_benches(old, same) == {"regressions": [], "warnings": []}
+    no_timings = float("inf")
+    old = _table1_doc({"C1": _bench_row(t=1.0)})
+    same = _table1_doc({"C1": _bench_row(t=1.0)})
+    assert compare(old, same) == {"regressions": [], "warnings": []}
 
-    slow = {"scale": "smoke", "systems": {"C1": _bench_row(t=3.0)}}
-    out = compare_benches(old, slow, max_slowdown=1.3)
+    slow = _table1_doc({"C1": _bench_row(t=3.0)})
+    out = compare(old, slow, max_slowdown=1.3)
     assert any("T_e" in r for r in out["regressions"])
-    assert compare_benches(old, slow, ignore_timings=True)["regressions"] == []
+    assert compare(old, slow, max_slowdown=no_timings)["regressions"] == []
 
-    failed = {"scale": "smoke",
-              "systems": {"C1": _bench_row(outcome="failure", t=1.0)}}
-    out = compare_benches(old, failed)
+    failed = _table1_doc({"C1": _bench_row(outcome="failure", t=1.0)})
+    out = compare(old, failed)
     assert any("outcome regressed" in r for r in out["regressions"])
 
-    more_iters = {"scale": "smoke",
-                  "systems": {"C1": _bench_row(iterations=3, t=1.0)}}
-    out = compare_benches(old, more_iters, ignore_timings=True)
+    more_iters = _table1_doc({"C1": _bench_row(iterations=3, t=1.0)})
+    out = compare(old, more_iters, max_slowdown=no_timings)
     assert any("iterations" in r for r in out["regressions"])
-    out = compare_benches(old, more_iters, max_extra_iterations=5,
-                          ignore_timings=True)
-    assert out["regressions"] == []
 
-    missing = {"scale": "smoke", "systems": {}}
-    assert compare_benches(old, missing)["regressions"]
-    out = compare_benches(old, missing, allow_missing=True)
+    missing = _table1_doc({})
+    assert compare(old, missing)["regressions"]
+    out = compare(old, missing, allow_missing=True)
     assert out["regressions"] == [] and out["warnings"]
 
-    flipped = {"scale": "paper",
-               "systems": {"C1": _bench_row(t=1.0, margin=-0.1)}}
-    out = compare_benches(old, flipped, ignore_timings=True)
+    flipped = _table1_doc({"C1": _bench_row(t=1.0, margin=-0.1)}, "paper")
+    out = compare(old, flipped, max_slowdown=no_timings)
     assert out["regressions"] == []
-    assert any("scale mismatch" in w for w in out["warnings"])
+    assert any("scale changed" in w for w in out["warnings"])
     assert any("flipped sign" in w for w in out["warnings"])
 
 
 def test_regress_cli_exit_codes(tmp_path, capsys):
     old = str(tmp_path / "old.json")
-    write_bench(old, {"C1": _bench_row(t=1.0)}, "smoke")
+    write_bench(old, _table1_doc({"C1": _bench_row(t=1.0)}))
 
     assert regress_main([old, old]) == 0
     assert "no regressions" in capsys.readouterr().out
 
     slow = str(tmp_path / "slow.json")
-    write_bench(slow, {"C1": _bench_row(t=3.0)}, "smoke")
+    write_bench(slow, _table1_doc({"C1": _bench_row(t=3.0)}))
     assert regress_main([old, slow, "--max-slowdown", "1.3"]) == 1
     assert "FAIL" in capsys.readouterr().out
     # generous threshold lets the same document pass
@@ -330,12 +331,126 @@ def test_regress_cli_exit_codes(tmp_path, capsys):
     assert regress_main([str(tmp_path / "missing.json"), old]) == 2
 
     # mixing document kinds is a usage error, not a comparison
-    from repro.diagnostics.servicebench import service_doc, write_service_bench
-
     service = str(tmp_path / "service.json")
-    write_service_bench(service, service_doc("smoke", {}, {}, {}, {}, {}))
+    write_bench(service, bench_document("BENCH_service", "smoke", {}))
     assert regress_main([old, service]) == 2
     assert regress_main([service, old]) == 2
+
+
+def test_regress_only_filters_every_kind(tmp_path, capsys):
+    rows = {"C1": _bench_row(t=1.0), "C3": _bench_row(t=1.0)}
+    old = str(tmp_path / "old.json")
+    write_bench(old, _table1_doc(rows))
+    new = str(tmp_path / "new.json")
+    write_bench(new, _table1_doc({"C1": _bench_row(t=1.0)}))
+    assert regress_main([old, new]) == 1
+    assert regress_main([old, new, "--only", "C1"]) == 0
+    assert regress_main([old, new, "--only", "C1,C9"]) == 0
+    assert "C9: not in OLD baseline" in capsys.readouterr().out
+
+    # the same filter applies to service job keys
+    svc_old = str(tmp_path / "svc_old.json")
+    write_bench(svc_old, _service_doc())
+    svc_new = str(tmp_path / "svc_new.json")
+    write_bench(svc_new, _service_doc(statuses=("success", "dead_letter")))
+    assert regress_main([svc_old, svc_new]) == 1
+    assert regress_main([svc_old, svc_new, "--only", f"{0:064x}"]) == 0
+
+
+def test_committed_bench_documents_load_and_self_compare(capsys):
+    import os
+    import subprocess
+
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    tracked = subprocess.run(
+        ["git", "ls-files", "results/BENCH_*.json"], cwd=root,
+        capture_output=True, text=True,
+    )
+    if tracked.returncode != 0:
+        pytest.skip("not a git checkout")
+    paths = tracked.stdout.split()
+    assert paths
+    for rel in paths:
+        path = os.path.join(root, rel)
+        assert load_bench(path)["rows"], rel
+        assert regress_main([path, path]) == 0, rel
+    capsys.readouterr()
+
+
+# ----------------------------------------------------------------------
+# BENCH_service gate
+# ----------------------------------------------------------------------
+def _service_doc(statuses=("success", "success"), hit_rate=1.0, retries=0,
+                 all_terminal=True, no_corrupt_served=True,
+                 serial_identical=True):
+    jobs = {
+        f"{i:064x}": {"status": status, "attempts": 1, "redeliveries": 0,
+                      "from_cache": False}
+        for i, status in enumerate(statuses)
+    }
+    return bench_document(
+        "BENCH_service", "chaos", jobs,
+        invariants={"all_terminal": all_terminal,
+                    "no_corrupt_served": no_corrupt_served,
+                    "serial_identical": serial_identical},
+        counts={"retries": retries, "redeliveries": 0},
+        cache={"hit_rate": hit_rate, "evictions": 0},
+    )
+
+
+def test_service_gate_identical_passes():
+    doc = _service_doc()
+    assert compare(doc, doc) == {"regressions": [], "warnings": []}
+
+
+def test_service_gate_dead_letter_is_regression():
+    out = compare(_service_doc(),
+                  _service_doc(statuses=("success", "dead_letter")))
+    assert len(out["regressions"]) == 1
+    # a job that dead-lettered before may succeed now
+    out = compare(_service_doc(statuses=("success", "dead_letter")),
+                  _service_doc())
+    assert out["regressions"] == []
+
+
+def test_service_gate_corrupt_serve_is_regression():
+    out = compare(_service_doc(),
+                  _service_doc(no_corrupt_served=False))
+    assert len(out["regressions"]) == 1
+    out = compare(_service_doc(), _service_doc(all_terminal=False))
+    assert len(out["regressions"]) == 1
+
+
+def test_service_gate_serial_identity_held_before():
+    out = compare(_service_doc(),
+                  _service_doc(serial_identical=False))
+    assert len(out["regressions"]) == 1
+    # no serial check on either side: nothing to hold
+    none = _service_doc(serial_identical=None)
+    assert compare(none, none)["regressions"] == []
+
+
+def test_service_gate_hit_rate_drop_is_regression():
+    out = compare(_service_doc(hit_rate=1.0),
+                  _service_doc(hit_rate=0.5))
+    assert len(out["regressions"]) == 1
+    assert compare(_service_doc(hit_rate=0.5),
+                   _service_doc(hit_rate=1.0))["regressions"] == []
+
+
+def test_service_gate_retries_change_only_warns():
+    out = compare(_service_doc(retries=0), _service_doc(retries=3))
+    assert out["regressions"] == []
+    assert len(out["warnings"]) == 1
+
+
+def test_service_gate_missing_key():
+    old = _service_doc()
+    new = _service_doc(statuses=("success",))
+    out = compare(old, new)
+    assert len(out["regressions"]) == 1 and not out["warnings"]
+    out = compare(old, new, allow_missing=True)
+    assert out["regressions"] == [] and len(out["warnings"]) == 1
 
 
 # ----------------------------------------------------------------------

@@ -213,7 +213,7 @@ def test_bench_serial_records_error_row_and_continues(tmp_path, monkeypatch):
         code = report.main(["--systems", "C1,C3", "--out", str(out)])
     assert plan.fired_sites() == ["inclusion.lp"]
     assert code == 1
-    rows = json.loads(out.read_text())["systems"]
+    rows = json.loads(out.read_text())["rows"]
     assert rows["C1"]["outcome"] == "error"
     assert rows["C1"]["error"]["kind"] == "InclusionError"
     assert rows["C3"]["outcome"] == "success"

@@ -58,7 +58,7 @@ def test_cli_main(tmp_path, capsys, monkeypatch):
     assert "| C1 |" in md.read_text()
     doc = json.loads(bench.read_text())
     assert doc["kind"] == "BENCH_table1"
-    assert doc["systems"]["C1"]["outcome"] == "success"
+    assert doc["rows"]["C1"]["outcome"] == "success"
     stdout = capsys.readouterr().out
     assert "C1: ok" in stdout
     assert (tmp_path / "telemetry" / "C1-smoke.jsonl").exists()

@@ -456,7 +456,8 @@ def test_error_entry_records_exception_class():
 
 
 def test_regress_flags_new_failure_class():
-    from repro.diagnostics.regress import compare_benches
+    from repro.diagnostics import bench_document
+    from repro.diagnostics.regress import compare
 
     def doc(outcome, error=None):
         row = {
@@ -466,22 +467,22 @@ def test_regress_flags_new_failure_class():
         }
         if error:
             row["error"] = error
-        return {"scale": "smoke", "systems": {"C1": row}}
+        return bench_document("BENCH_table1", "smoke", {"C1": row})
 
-    # failure -> timeout is a NEW failure class: hard regression
-    out = compare_benches(doc("failure"), doc("timeout"))
-    assert any("new failure class" in r for r in out["regressions"])
+    # failure -> timeout is a NEW failure class: the outcome rank falls
+    out = compare(doc("failure"), doc("timeout"))
+    assert any("outcome regressed" in r for r in out["regressions"])
     # failure -> error likewise, and the kind is named
-    out = compare_benches(
+    out = compare(
         doc("failure"), doc("error", {"kind": "LearnerDivergence"})
     )
     assert any("LearnerDivergence" in r for r in out["regressions"])
     # success -> timeout caught by the outcome check
-    out = compare_benches(doc("success"), doc("timeout"))
+    out = compare(doc("success"), doc("timeout"))
     assert any("outcome regressed" in r for r in out["regressions"])
     # timeout -> timeout is stable, not a regression
-    out = compare_benches(doc("timeout"), doc("timeout"))
+    out = compare(doc("timeout"), doc("timeout"))
     assert out["regressions"] == []
     # failure -> failure unchanged
-    out = compare_benches(doc("failure"), doc("failure"))
+    out = compare(doc("failure"), doc("failure"))
     assert out["regressions"] == []

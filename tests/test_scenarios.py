@@ -12,17 +12,13 @@ import json
 
 import pytest
 
-from repro.diagnostics.scenariobench import (
-    SCENARIO_KIND,
-    compare_scenario_benches,
-    load_scenario_bench,
-    scenario_doc,
-    write_scenario_bench,
-)
+from repro.diagnostics.bench import bench_document, load_bench, write_bench
+from repro.diagnostics.regress import compare
 from repro.soundness.scenarios import (
     INFEASIBLE_STRIDE,
     TERMINAL_OUTCOMES,
     batch_invariants,
+    bench_rows,
     make_scenario,
     run_batch,
     run_scenario,
@@ -101,69 +97,73 @@ class TestFactory:
 
 class TestBenchDoc:
     def _doc(self, rows):
-        return scenario_doc(
-            scale="smoke",
+        return bench_document(
+            "BENCH_scenarios",
+            "smoke",
+            bench_rows(rows),
             config={"base_seed": 0, "count": len(rows),
                     "time_budget_s": 30.0},
-            rows=rows,
+            invariants=batch_invariants(rows),
         )
 
     def test_doc_write_load_round_trip(self, tmp_path):
         rows = run_batch(0, 6)
         doc = self._doc(rows)
         path = tmp_path / "BENCH_scenarios.json"
-        write_scenario_bench(str(path), doc)
-        loaded = load_scenario_bench(str(path))
-        assert loaded["kind"] == SCENARIO_KIND
-        assert loaded["counts"]["total"] == 6
-        assert loaded["scenarios"] == json.loads(
-            json.dumps(doc["scenarios"])
-        )
+        write_bench(str(path), doc)
+        loaded = load_bench(str(path))
+        assert loaded["kind"] == "BENCH_scenarios"
+        assert len(loaded["rows"]) == 6
+        assert loaded["rows"] == json.loads(json.dumps(doc["rows"]))
 
     def test_load_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"kind": "BENCH_table1"}')
         with pytest.raises(ValueError):
-            load_scenario_bench(str(path))
+            load_bench(str(path))
+        path.write_text('{"kind": "BENCH_unknown", "schema_version": 2, '
+                        '"rows": {}, "invariants": {}}')
+        with pytest.raises(ValueError):
+            load_bench(str(path))
 
     def test_identical_docs_pass_gate(self):
         rows = run_batch(0, 6)
         doc = self._doc(rows)
-        outcome = compare_scenario_benches(doc, doc)
+        outcome = compare(doc, doc)
         assert outcome["regressions"] == []
 
     def test_outcome_flip_gates_hard(self):
         rows = run_batch(0, 6)
         old = self._doc(rows)
         new = copy.deepcopy(old)
-        seed = next(iter(new["scenarios"]))
-        new["scenarios"][seed]["outcome"] = "falsified"
-        outcome = compare_scenario_benches(old, new)
+        seed = next(iter(new["rows"]))
+        new["rows"][seed]["outcome"] = "falsified"
+        outcome = compare(old, new)
         assert any("outcome flipped" in r for r in outcome["regressions"])
 
     def test_spec_hash_drift_gates_hard(self):
         rows = run_batch(0, 6)
         old = self._doc(rows)
         new = copy.deepcopy(old)
-        seed = next(iter(new["scenarios"]))
-        new["scenarios"][seed]["psi_spec_key"] = "0" * 16
-        outcome = compare_scenario_benches(old, new)
-        assert any("spec hash" in r for r in outcome["regressions"])
+        seed = next(iter(new["rows"]))
+        new["rows"][seed]["psi_spec_key"] = "0" * 16
+        outcome = compare(old, new)
+        assert any("psi_spec_key changed" in r for r in outcome["regressions"])
 
     def test_broken_invariant_gates_hard(self):
         rows = run_batch(0, 6)
         old = self._doc(rows)
         new = copy.deepcopy(old)
         new["invariants"]["no_soundness_failures"] = False
-        outcome = compare_scenario_benches(old, new)
-        assert any("rational recheck" in r for r in outcome["regressions"])
+        outcome = compare(old, new)
+        assert any("no_soundness_failures" in r for r in outcome["regressions"])
 
     def test_missing_seed_warns_when_allowed(self):
         rows = run_batch(0, 6)
         old = self._doc(rows)
         new = self._doc(rows[:-1])
-        hard = compare_scenario_benches(old, new)
-        soft = compare_scenario_benches(old, new, allow_missing=True)
+        hard = compare(old, new)
+        soft = compare(old, new, allow_missing=True)
         assert any("missing" in r for r in hard["regressions"])
         assert not soft["regressions"]
         assert any("missing" in w for w in soft["warnings"])
@@ -175,12 +175,12 @@ class TestBenchDoc:
         doc = self._doc(rows)
         old_path = tmp_path / "old.json"
         new_path = tmp_path / "new.json"
-        write_scenario_bench(str(old_path), doc)
+        write_bench(str(old_path), doc)
         bad = copy.deepcopy(doc)
-        seed = next(iter(bad["scenarios"]))
-        bad["scenarios"][seed]["outcome"] = "error"
+        seed = next(iter(bad["rows"]))
+        bad["rows"][seed]["outcome"] = "error"
         bad["invariants"]["all_terminal"] = False
-        write_scenario_bench(str(new_path), bad)
+        write_bench(str(new_path), bad)
 
         assert main([str(old_path), str(old_path)]) == 0
         assert main([str(old_path), str(new_path)]) == 1

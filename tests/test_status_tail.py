@@ -100,6 +100,24 @@ def test_status_writer_leaves_no_temp_files(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["run.status.json"]
 
 
+def test_failed_atomic_writes_leave_no_temp_files(tmp_path, monkeypatch):
+    from repro.diagnostics import bench_document, write_bench
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    writer = StatusWriter(str(tmp_path / "run.status.json"),
+                          min_interval_s=0.0)  # must not raise
+    writer.update(force=True, phase="learning")
+    writer.finish("success")
+    with pytest.raises(OSError):
+        write_bench(str(tmp_path / "BENCH.json"),
+                    bench_document("BENCH_table1", "smoke", {}))
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert list(tmp_path.glob(".*.tmp")) == []
+
+
 def test_read_status_missing_and_malformed(tmp_path):
     assert read_status(str(tmp_path / "absent.json")) is None
     bad = tmp_path / "bad.json"
