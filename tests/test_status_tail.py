@@ -283,6 +283,18 @@ def test_tail_cli_no_status_found(tmp_path, capsys):
     assert "no status.json" in capsys.readouterr().err
 
 
+def test_tail_cli_dead_heartbeat_gives_up(tmp_path, capsys):
+    stale = StatusWriter(str(tmp_path / "C7-smoke.status.json"),
+                         name="table1/C7")
+    stale.state["heartbeat_wall"] = time.time() - 1e6  # ancient heartbeat
+    with open(stale.path, "w") as fh:
+        json.dump(stale.state, fh)  # no outcome recorded
+    assert tail_main([str(tmp_path / "C7-smoke")]) == 1
+    captured = capsys.readouterr()
+    assert "DEAD" in captured.out and "table1/C7" in captured.out
+    assert "heartbeat lost" in captured.err
+
+
 def test_tail_cli_fleet_once(tmp_path, capsys):
     with session(str(tmp_path / "C1-smoke.jsonl"), name="table1/C1"):
         pass

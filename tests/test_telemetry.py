@@ -424,6 +424,11 @@ def test_report_cli_all_lines_malformed_fails(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+def test_report_cli_unreadable_trace(tmp_path, capsys):
+    assert report_main([str(tmp_path / "absent.jsonl")]) == 2
+    assert "cannot read trace" in capsys.readouterr().err
+
+
 def test_report_cli_partial_corruption_warns(tmp_path, capsys):
     trace = _sample_trace(tmp_path)
     with open(trace, "a") as fh:
