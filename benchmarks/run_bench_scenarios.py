@@ -12,7 +12,7 @@ and records outcomes + per-cell timings::
 
 The base seed is printed on stdout so any CI failure is replayable with
 one flag.  The emitted BENCH document (kind ``BENCH_scenarios``, one row
-per seed) is gated by ``python -m repro.diagnostics.regress`` under the
+per seed) is gated by ``python -m repro.telemetry regress`` under the
 scenario policy: hard on the invariants — every outcome terminal, zero
 rational-recheck failures, minted expectations met — and on per-seed
 outcome / cell decomposition / region-spec hash stability.

@@ -14,14 +14,15 @@ records what the fault-tolerance machinery did::
   certificate (inflated margin claim, recomputed digest) — the read-
   time exact recheck must evict it and the job recompute;
 * ``--serial-check`` also runs the same batch serially, fault-free, in
-  a fresh root and asserts every successful payload is **bitwise
-  identical** (sha256 over canonical JSON) to the serial result;
+  a fresh temporary root and asserts every successful payload is
+  **bitwise identical** (sha256 over canonical JSON) to the serial
+  result;
 * ``--repeat`` re-submits the identical batch against the same root
   afterwards and records the cache hit rate (100% expected).
 
 The emitted BENCH document (kind ``BENCH_service``, one row per job key,
 plus ``counts`` and ``cache`` sections) is gated by
-``python -m repro.diagnostics.regress`` under the service policy: hard on
+``python -m repro.telemetry regress`` under the service policy: hard on
 the invariants — every job terminal, zero corrupt entries served, serial
 identity — on per-job status and on the cache hit rate; soft on the
 chaos counters.
@@ -30,9 +31,9 @@ chaos counters.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+import tempfile
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -53,11 +54,13 @@ from repro.soundness import bundle_from_dict, bundle_to_dict
 def corrupt_cache_entry(root: str, request) -> str:
     """Plant a *self-consistent* corrupted entry for ``request``: the
     certificate's first margin claim is inflated and the payload digest
-    recomputed, so only the exact recheck can reject it."""
-    seed_root = root + ".seed"
-    run_service(seed_root, [request], ServiceConfig(workers=0))
-    donor = CertificateCache(seed_root + "/cache", verify_on_read=False)
-    payload = donor.get(request)
+    recomputed, so only the exact recheck can reject it.  The donor run
+    that computes the honest entry lives in a temporary root."""
+    with tempfile.TemporaryDirectory() as seed_root:
+        run_service(seed_root, [request], ServiceConfig(workers=0))
+        donor = CertificateCache(os.path.join(seed_root, "cache"),
+                                 verify_on_read=False)
+        payload = donor.get(request)
     assert payload and payload.get("bundle"), "seed run produced no bundle"
     bundle = bundle_from_dict(payload["bundle"])
     bundle.conditions[0].margin = float(bundle.conditions[0].margin) + 10.0
@@ -137,19 +140,21 @@ def main(argv=None) -> int:
 
     serial_identical = None
     if args.serial_check:
-        serial_root = args.root + ".serial"
-        serial_results = run_service(
-            serial_root, requests, ServiceConfig(workers=0)
-        )
-        serial_cache = CertificateCache(
-            os.path.join(serial_root, "cache")
-        )
+        # a fresh root each time: a cache left by an earlier run would
+        # make the serial side an echo of old payloads
+        with tempfile.TemporaryDirectory() as serial_root:
+            run_service(serial_root, requests, ServiceConfig(workers=0))
+            serial_cache = CertificateCache(
+                os.path.join(serial_root, "cache")
+            )
+            serial_hashes = {
+                request.key(): payload_hash(serial_cache.get(request))
+                for request in requests
+            }
         serial_identical = True
-        for request in requests:
-            key = request.key()
+        for key, serial_hash in serial_hashes.items():
             if jobs[key]["status"] != "success":
                 continue  # dead-letters have no payload to compare
-            serial_hash = payload_hash(serial_cache.get(request))
             match = hashes[key] is not None and hashes[key] == serial_hash
             jobs[key]["serial_match"] = match
             serial_identical = serial_identical and match

@@ -9,7 +9,7 @@
 Runs SNBC on the selected systems one after another, with full
 telemetry: a trace, manifest and audit artifact per run under
 ``results/telemetry/<name>-<scale>.*``.  It writes the aggregate BENCH
-document (``--out``, the input of ``python -m repro.diagnostics.regress``)
+document (``--out``, the input of ``python -m repro.telemetry regress``)
 and prints the paper's Table-1 SNBC columns; ``--markdown`` also writes
 them as a markdown section, the layout EXPERIMENTS.md records.
 
@@ -75,7 +75,7 @@ def run_row(
 
     The run's trace, manifest and audit land at
     ``<trace_dir>/<name>-<scale>.{jsonl,manifest.json,audit.json}``;
-    render them with ``python -m repro.diagnostics.report``.  With a
+    render them with ``python -m repro.telemetry report``.  With a
     ``checkpoint_dir`` the CEGIS loop checkpoints to
     ``<checkpoint_dir>/<name>-<scale>.ckpt.json``, and ``resume``
     continues from that file when it exists.  ``time_budget_s`` arms the

@@ -10,11 +10,10 @@ to answer *how well it went*:
   synthesized certificate (Gram/IPM margins + dense-grid margins);
 * :mod:`repro.diagnostics.bench` / :mod:`repro.diagnostics.regress` —
   the one BENCH document schema (Table-1, scenario-sweep and service
-  kinds) and the CLI gate that compares two documents of one kind
-  against that kind's policy (``python -m repro.diagnostics.regress
-  OLD NEW``);
-* :mod:`repro.diagnostics.report` — per-run terminal summary + single
-  file HTML dashboard (``python -m repro.diagnostics.report <run>``).
+  kinds) and the gate that compares two documents of one kind against
+  that kind's policy (``python -m repro.telemetry regress OLD NEW``);
+* :mod:`repro.diagnostics.html` — the single-file HTML dashboard
+  (``python -m repro.telemetry report RUN --html PATH``).
 
 Import discipline: this package is imported *by* :mod:`repro.cegis`
 (the stall detector runs inside the loop), so nothing here may import
@@ -47,9 +46,6 @@ from repro.diagnostics.convergence import (
     lineage_records,
     stall_event,
 )
-
-# NOTE: the CLI modules (repro.diagnostics.regress / .report) are not
-# imported here so `python -m` runs them exactly once.
 
 __all__ = [
     "AUDIT_SCHEMA_VERSION",

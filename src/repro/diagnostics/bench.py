@@ -10,7 +10,7 @@ Three producers write it, each with its own ``kind``:
   service job key.
 
 Two documents of one kind are compared by
-``python -m repro.diagnostics.regress``, which is how the repo detects
+``python -m repro.telemetry regress``, which is how the repo detects
 outcome and performance regressions against a committed baseline.
 
 Schema (version 2)::

@@ -1,8 +1,8 @@
 """Benchmark regression gate: one differ for every BENCH document kind.
 
-    python -m repro.diagnostics.regress OLD.json NEW.json
-    python -m repro.diagnostics.regress base.json new.json --max-slowdown 20
-    python -m repro.diagnostics.regress base.json new.json --only C1,C3
+    python -m repro.telemetry regress OLD.json NEW.json
+    python -m repro.telemetry regress base.json new.json --max-slowdown 20
+    python -m repro.telemetry regress base.json new.json --only C1,C3
 
 Both documents must be BENCH documents of one kind (see
 :mod:`repro.diagnostics.bench`).  The gate is that kind's entry in
@@ -39,12 +39,10 @@ Exit codes: 0 no regression, 1 regression(s), 2 unreadable/invalid input.
 
 from __future__ import annotations
 
-import argparse
-import sys
 from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.diagnostics.bench import TIMING_KEYS, load_bench
+from repro.diagnostics.bench import TIMING_KEYS
 
 #: OLD timings below this are noise and never gate
 MIN_SECONDS = 0.05
@@ -202,53 +200,3 @@ def render(old: Dict[str, Any], new: Dict[str, Any]) -> str:
         + "".join(f"\n  {flip}: {n}" for flip, n in sorted(flips.items()))
     )
     return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.diagnostics.regress", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("old", help="baseline BENCH document")
-    parser.add_argument("new", help="candidate BENCH document of the same kind")
-    parser.add_argument("--max-slowdown", type=float, default=1.3,
-                        help="allowed per-timing ratio NEW/OLD (default 1.3)")
-    parser.add_argument("--only", default=None,
-                        help="comma-separated row keys to compare")
-    parser.add_argument("--allow-missing", action="store_true",
-                        help="rows missing from NEW warn instead of fail")
-    args = parser.parse_args(argv)
-
-    only = (
-        [key.strip() for key in args.only.split(",") if key.strip()]
-        if args.only
-        else None
-    )
-    try:
-        old = load_bench(args.old)
-        new = load_bench(args.new)
-        outcome = compare(
-            old,
-            new,
-            max_slowdown=args.max_slowdown,
-            only=only,
-            allow_missing=args.allow_missing,
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    print(render(old, new))
-    for w in outcome["warnings"]:
-        print(f"warning: {w}")
-    if outcome["regressions"]:
-        print(f"\n{len(outcome['regressions'])} regression(s):")
-        for r in outcome["regressions"]:
-            print(f"  FAIL {r}")
-        return 1
-    print("\nno regressions")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

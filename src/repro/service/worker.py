@@ -11,7 +11,7 @@ the supervisor).
 Liveness is a file, not a message: a daemon thread rewrites the
 worker's ``worker-<id>.status.json`` (the PR 7 :class:`StatusWriter`)
 every ``heartbeat_interval_s`` even while a job blocks the main loop,
-so the supervisor — and ``python -m repro.telemetry.tail --fleet`` —
+so the supervisor — and ``python -m repro.telemetry tail --fleet`` —
 can classify a wedged worker as STALLED/DEAD from heartbeat age alone.
 
 The ``service.worker_kill_mid_job`` fault fires *inside* the worker

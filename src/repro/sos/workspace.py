@@ -14,8 +14,8 @@ construction: the template rows are accumulated with the same float
 operations in the same order the fresh compile would perform (the gram
 dictionaries merge in identical insertion order), the varying data
 lands in disjoint array slots (const -> rhs, free -> B-columns), and
-the projection / SDP assembly / free-variable recovery mirror
-``SOSProgram.compile``/``solve`` line for line.  The only shortcut is
+the projection and SDP assembly mirror ``SOSProgram.compile`` line for
+line.  The only shortcut is
 skipping the multiply-by-identity projection when there are no free
 variables, which is exact.
 """
@@ -29,10 +29,10 @@ from scipy.linalg import null_space
 
 from repro.poly import Polynomial
 from repro.poly.monomials import Exponent, add_exponents, monomials_upto
-from repro.sdp import InteriorPointOptions, SDPProblem, solve_sdp
-from repro.sdp.svec import svec, svec_dim
+from repro.sdp import SDPProblem
+from repro.sdp.svec import svec_dim
 from repro.sos.expr import LinCoeff, SOSExpr
-from repro.sos.program import GramBlock, SOSProgram, SOSSolution, _SQRT2
+from repro.sos.program import GramBlock, SOSProgram, _SQRT2
 
 
 def lambda_expr(n_vars: int, degree: int) -> SOSExpr:
@@ -192,18 +192,3 @@ class ConditionWorkspace:
         # stacked constraint-matrix memo, skipping re-concatenation
         sdp.add_constraints_from_matrix(G_proj, r_proj)
         return sdp, Bf, r, G
-
-    def solve(
-        self,
-        varying: SOSExpr,
-        options: Optional[InteriorPointOptions] = None,
-    ) -> SOSSolution:
-        """Compile, solve and recover free variables (serial convenience)."""
-        sdp, Bf, r, G = self.compile(varying)
-        result = solve_sdp(sdp, options)
-        free_values = np.zeros(self.program._n_free)
-        if result.status.ok and self.program._n_free > 0:
-            q_flat = np.concatenate([svec(X) for X in result.X])
-            resid = r - G @ q_flat
-            free_values, *_ = np.linalg.lstsq(Bf, resid, rcond=None)
-        return SOSSolution(self.program, result, free_values)

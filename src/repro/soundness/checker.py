@@ -433,8 +433,8 @@ def check_verification(
     config: Optional[SoundnessConfig] = None,
 ) -> Optional[SoundnessReport]:
     """Convenience wrapper: recheck a :class:`VerificationResult` that
-    carries a certificate bundle; ``None`` when it carries none (capture
-    disabled, or the verification failed)."""
+    carries a certificate bundle; ``None`` when it carries none (the
+    verification failed)."""
     bundle = getattr(verification, "certificate", None)
     if bundle is None:
         return None

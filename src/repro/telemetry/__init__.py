@@ -1,7 +1,7 @@
 """Structured telemetry for the SNBC pipeline.
 
 Zero-dependency (stdlib-only) observability layer: hierarchical span
-tracing, a metrics registry, run manifests, and a trace-report CLI.
+tracing, a metrics registry, run manifests, and the observability CLI.
 
 Three entry levels:
 
@@ -11,19 +11,17 @@ Three entry levels:
 * **Harnesses** (the Table 1 benchmarks) call :func:`session` to route
   spans and metrics into a JSONL trace plus a JSON run manifest under
   ``results/``.
-* **Humans** render a trace with ``python -m repro.telemetry.report
-  trace.jsonl`` — per-phase time breakdown and metric summaries — or
-  aggregate a whole results tree with ``python -m repro.telemetry.fleet
-  results/``.
+* **Humans** use the CLI in :mod:`repro.telemetry.__main__`:
+  ``python -m repro.telemetry report RUN`` renders one run (convergence, counterexample lineage,
+  audit, per-phase time, spans, metrics), ``fleet ROOT`` aggregates a
+  results tree, ``tail TARGET`` follows the atomically-written
+  ``status.json`` heartbeats (:mod:`repro.telemetry.status`) live, and
+  ``regress OLD NEW`` gates a BENCH document against its baseline.
 
 Deeper instrumentation lives alongside: :mod:`repro.telemetry.profiler`
 (a stdlib sampling profiler writing collapsed stacks + per-phase
-self-time) and :mod:`repro.telemetry.store` (the cross-run fleet index
-behind the fleet CLI).
-
-:mod:`repro.telemetry.status` maintains an atomically-written
-``status.json`` heartbeat per run that ``python -m repro.telemetry.tail``
-follows live (single run or ``--fleet`` board).
+self-time) and :mod:`repro.telemetry.store` (the run-artifact resolver
+and the cross-run fleet index).
 
 The span/metric event schema is documented in :mod:`repro.telemetry.spans`.
 """
@@ -47,7 +45,13 @@ from repro.telemetry.spans import (
     load_events,
 )
 from repro.telemetry.status import StatusWriter, read_status
-from repro.telemetry.store import RunRecord, fleet_summary, load_run, scan_runs
+from repro.telemetry.store import (
+    RunRecord,
+    fleet_summary,
+    load_run,
+    run_family,
+    scan_runs,
+)
 
 __all__ = [
     "InMemorySink",
@@ -70,6 +74,7 @@ __all__ = [
     "load_run",
     "platform_info",
     "read_status",
+    "run_family",
     "scan_runs",
     "session",
 ]

@@ -67,6 +67,17 @@ def _config_echo(config: Any) -> Any:
     return repr(config)
 
 
+def read_json(path: str) -> Dict[str, Any]:
+    """One JSON object from ``path`` (a manifest or another run
+    artifact): ``OSError`` when the file is unreadable, ``ValueError``
+    when it is malformed or not an object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return doc
+
+
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -129,5 +140,4 @@ class RunManifest:
 
     @staticmethod
     def load(path: str) -> Dict[str, Any]:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return read_json(path)

@@ -1,19 +1,29 @@
-"""Render a telemetry trace as a human-readable report.
+"""Render one run's trace as a human-readable report.
 
-    python -m repro.telemetry.report results/telemetry/C1-smoke.jsonl
-    python -m repro.telemetry.report trace.jsonl --format markdown
-    python -m repro.telemetry.report trace.jsonl --format json
-    python -m repro.telemetry.report trace.jsonl --manifest run.manifest.json
+    python -m repro.telemetry report results/telemetry/C1-smoke
+    python -m repro.telemetry report trace.jsonl --format markdown
+    python -m repro.telemetry report trace.jsonl --format json
+    python -m repro.telemetry report trace.jsonl --html run.report.html
 
-Sections:
+Sections, each shown when the run has data for it:
 
+* **Run** — the manifest header (name, outcome, seed, git SHA, times)
+  plus the CEGIS iteration and counterexample counts and any stall.
+* **Convergence** — per-iteration loss breakdown (``L_I``/``L_U``/
+  ``L_D``), worst violation, counterexamples and dataset sizes.
+* **Counterexample lineage** — which condition (13)–(15) each round's
+  counterexamples violated, and whether the final certificate resolved
+  them.
+* **Certificate audit** — per-condition Gram/IPM margins, dense-grid
+  margins, and the exact ℚ recheck verdict.
 * **Phases** — total seconds per pipeline phase (spans carrying a
   ``phase`` attribute: inclusion / learning / verification /
   counterexample), with share-of-total.  These totals match
   ``SNBCResult.timings`` because both are filled from the same spans.
-* **Spans** — per-span-name aggregate (count, total, self, mean, max);
-  *self* is exclusive time (total minus direct-child spans), so nested
-  spans do not double-count.
+* **Spans** — per-span-name aggregate (count, total, self, mean, max)
+  for the :data:`MAX_SPAN_ROWS` costliest names; *self* is exclusive
+  time (total minus direct-child spans), so nested spans do not
+  double-count.
 * **IPM sub-phases** — solver time attributed inside the interior-point
   iteration (Z factorization, Schur assembly, Schur factorization, line
   search), aggregated from the per-iteration timers every
@@ -23,16 +33,14 @@ Sections:
 * **Caches** — hit rates derived from paired ``<name>.hits`` /
   ``<name>.misses`` counters (workspace cache, compile-field cache,
   field-value cache, ...).
+
+This module is stdlib-only: the convergence summary and the audit are
+computed by :mod:`repro.diagnostics` and passed in as plain dicts.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from repro.telemetry.spans import read_trace
 
 #: canonical pipeline order for the phase table
 PHASE_ORDER = ["inclusion", "learning", "verification", "counterexample"]
@@ -181,12 +189,27 @@ def cache_rates(counters: Dict[str, float]) -> List[Tuple[str, int, int, float]]
     return rows
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.4g}" if abs(x) < 1e-3 or abs(x) >= 1e5 else f"{x:.3f}"
+#: span names listed in the report (costliest first)
+MAX_SPAN_ROWS = 20
+
+
+def _fmt(x: Any) -> str:
+    """One table cell: ``-`` for a missing value, integers verbatim,
+    other numbers to 4 significant digits when tiny or huge and to 3
+    decimals otherwise, anything else as ``str``."""
+    if x is None:
+        return "-"
+    if isinstance(x, int):
+        return str(x)
+    try:
+        v = float(x)
+    except (TypeError, ValueError):
+        return str(x)
+    return f"{v:.4g}" if abs(v) < 1e-3 or abs(v) >= 1e5 else f"{v:.3f}"
 
 
 def _table(
-    header: Sequence[str], rows: Sequence[Sequence[str]], markdown: bool
+    header: Sequence[str], rows: Sequence[Sequence[str]], markdown: bool = False
 ) -> List[str]:
     if markdown:
         out = ["| " + " | ".join(header) + " |",
@@ -203,116 +226,23 @@ def _table(
     return out
 
 
-def render_report(
-    events: Sequence[Dict[str, Any]],
-    fmt: str = "text",
-    manifest: Optional[Dict[str, Any]] = None,
-    max_span_rows: int = 20,
-) -> str:
-    """Build the full report string (``fmt``: ``text`` or ``markdown``)."""
-    markdown = fmt == "markdown"
-    h = (lambda s: f"## {s}") if markdown else (lambda s: f"== {s} ==")
-    lines: List[str] = []
-
-    if manifest:
-        lines.append(h("Run"))
-        for key in ("name", "outcome", "seed", "git_sha", "started_at",
-                    "finished_at", "elapsed_seconds"):
-            if manifest.get(key) is not None:
-                lines.append(f"- {key}: {manifest[key]}")
-        trace_id = (manifest.get("extra") or {}).get("trace_id")
-        if trace_id:
-            lines.append(f"- trace_id: {trace_id}")
-        lines.append("")
-
-    totals = phase_totals(events)
-    if totals:
-        grand = sum(totals.values())
-        ordered = [p for p in PHASE_ORDER if p in totals]
-        ordered += sorted(set(totals) - set(ordered))
-        rows = [
-            [p, f"{totals[p]:.3f}", f"{100.0 * totals[p] / grand:.1f}%"]
-            for p in ordered
-        ]
-        rows.append(["total", f"{grand:.3f}", "100.0%"])
-        lines.append(h("Phases"))
-        lines += _table(["phase", "seconds", "share"], rows, markdown)
-        lines.append("")
-
-    span_rows = span_aggregates(events)
-    if span_rows:
-        rows = [
-            [name, str(count), f"{total:.3f}", f"{self_total:.3f}",
-             f"{mean:.4f}", f"{mx:.4f}"]
-            for name, count, total, self_total, mean, mx
-            in span_rows[:max_span_rows]
-        ]
-        lines.append(h("Spans"))
-        lines += _table(["span", "count", "total s", "self s", "mean s",
-                         "max s"], rows, markdown)
-        if len(span_rows) > max_span_rows:
-            lines.append(f"... {len(span_rows) - max_span_rows} more span names")
-        lines.append("")
-
-    subphases = ipm_subphase_totals(events)
-    if subphases:
-        grand = sum(r["seconds"] for r in subphases)
-        rows = [
-            [r["phase"], f"{r['seconds']:.3f}", str(r["iterations"]),
-             _fmt(r["mean_s"]),
-             f"{100.0 * r['seconds'] / grand:.1f}%" if grand else "-"]
-            for r in subphases
-        ]
-        lines.append(h("IPM sub-phases"))
-        lines += _table(
-            ["phase", "seconds", "iterations", "mean s/it", "share"],
-            rows, markdown,
-        )
-        lines.append("")
-
-    summary = metrics_summary(events)
-    counters = summary.get("counters", {})
-    gauges = summary.get("gauges", {})
-    hists = summary.get("histograms", {})
-    if counters or gauges:
-        rows = [[k, "counter", _fmt(v)] for k, v in sorted(counters.items())]
-        rows += [[k, "gauge", _fmt(v)] for k, v in sorted(gauges.items())]
-        lines.append(h("Metrics"))
-        lines += _table(["metric", "kind", "value"], rows, markdown)
-        lines.append("")
-    caches = cache_rates(counters)
-    if caches:
-        rows = [
-            [name, str(hits), str(misses), f"{100.0 * rate:.1f}%"]
-            for name, hits, misses, rate in caches
-        ]
-        lines.append(h("Caches"))
-        lines += _table(["cache", "hits", "misses", "hit rate"], rows, markdown)
-        lines.append("")
-    if hists:
-        rows = [
-            [k, str(int(s["count"])), _fmt(s["mean"]), _fmt(s["p50"]),
-             _fmt(s["p95"]), _fmt(s["max"])]
-            for k, s in sorted(hists.items())
-        ]
-        lines.append(h("Histograms"))
-        lines += _table(["metric", "count", "mean", "p50", "p95", "max"],
-                        rows, markdown)
-        lines.append("")
-
-    if not lines:
-        lines.append("(empty trace)")
-    return "\n".join(lines).rstrip() + "\n"
-
-
 def report_payload(
     events: Sequence[Dict[str, Any]],
     manifest: Optional[Dict[str, Any]] = None,
+    convergence: Optional[Dict[str, Any]] = None,
+    audit: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Machine-readable report: the same aggregates the text report shows."""
+    """Machine-readable report: every aggregate the text report shows.
+
+    ``convergence`` is :func:`repro.diagnostics.convergence_summary` of
+    the same events and ``audit`` the run's audit artifact; both pass
+    through unchanged (``None`` when not supplied).
+    """
     summary = metrics_summary(events)
     return {
         "manifest": manifest,
+        "convergence": convergence,
+        "audit": audit,
         "phases": phase_totals(events),
         "spans": [
             {"name": name, "count": count, "total": total, "self": self_total,
@@ -331,55 +261,194 @@ def report_payload(
     }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry.report", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+def _run_lines(
+    manifest: Optional[Dict[str, Any]], convergence: Optional[Dict[str, Any]]
+) -> List[str]:
+    manifest = manifest or {}
+    convergence = convergence or {}
+    outcome = manifest.get("outcome") or (
+        "success" if convergence.get("converged") else "unknown"
     )
-    parser.add_argument("trace", help="JSONL trace file")
-    parser.add_argument("--format", choices=["text", "markdown", "json"],
-                        default="text")
-    parser.add_argument("--manifest", default=None,
-                        help="run manifest JSON to include (auto-detected "
-                             "from <trace>.manifest.json when present)")
-    parser.add_argument("--max-span-rows", type=int, default=20)
-    args = parser.parse_args(argv)
-
-    # tolerate truncated/corrupt lines: a crashed run leaves a partial
-    # final record, and its trace is exactly the one worth reading
-    try:
-        events, skipped = read_trace(args.trace)
-    except OSError as exc:
-        print(f"error: cannot read trace: {exc}", file=sys.stderr)
-        return 2
-    if skipped and not events:
-        print(
-            f"error: all {skipped} line(s) of the trace are malformed",
-            file=sys.stderr,
+    lines = [f"- outcome: {outcome}"]
+    for key in ("seed", "git_sha", "started_at", "finished_at",
+                "elapsed_seconds"):
+        if manifest.get(key) is not None:
+            lines.append(f"- {key}: {manifest[key]}")
+    trace_id = (manifest.get("extra") or {}).get("trace_id")
+    if trace_id:
+        lines.append(f"- trace_id: {trace_id}")
+    if convergence.get("n_iterations"):
+        lines.append(
+            f"- iterations: {convergence['n_iterations']}, counterexamples: "
+            f"{convergence.get('n_resolved', 0)}/"
+            f"{convergence.get('n_counterexamples', 0)} resolved"
         )
-        return 1
-    if skipped:
-        print(f"warning: skipped {skipped} malformed line(s)", file=sys.stderr)
-    manifest: Optional[Dict[str, Any]] = None
-    manifest_path = args.manifest
-    if manifest_path is None:
-        base = args.trace[:-6] if args.trace.endswith(".jsonl") else args.trace
-        candidate = base + ".manifest.json"
-        import os
-        if os.path.exists(candidate):
-            manifest_path = candidate
-    if manifest_path:
-        from repro.telemetry.manifest import RunManifest
-        manifest = RunManifest.load(manifest_path)
-
-    if args.format == "json":
-        print(json.dumps(report_payload(events, manifest=manifest),
-                         indent=2, sort_keys=True))
-        return 0
-    print(render_report(events, fmt=args.format, manifest=manifest,
-                        max_span_rows=args.max_span_rows), end="")
-    return 0
+    stall = convergence.get("stall")
+    if stall:
+        lines.append(
+            f"- STALL: worst violation non-decreasing for "
+            f"{stall.get('window')} iterations (at iter "
+            f"{stall.get('iteration')})"
+        )
+    return lines
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def _audit_lines(audit: Dict[str, Any], markdown: bool) -> List[str]:
+    rows = []
+    for c in audit.get("conditions", []):
+        sdp = c.get("sdp") or {}
+        ipm = sdp.get("convergence") or "-"
+        rung = sdp.get("recovery_rung")
+        if rung and rung != "base":
+            ipm += f" (via {rung})"
+        rows.append([
+            str(c.get("name")), str(c.get("paper_condition")),
+            "ok" if c.get("feasible") and c.get("validated") else "FAILED",
+            _fmt(c.get("min_gram_eigenvalue")), _fmt(c.get("residual_bound")),
+            _fmt(sdp.get("gap")), ipm,
+        ])
+    lines = _table(["condition", "paper", "verdict", "min Gram eig",
+                    "residual", "SDP gap", "ipm"], rows, markdown)
+    grid = audit.get("grid_margins") or {}
+    if grid:
+        rows = []
+        for name, m in grid.items():
+            margin = m.get("margin")
+            holds = margin is not None and float(margin) > 0
+            rows.append([str(name), _fmt(margin), _fmt(m.get("n_points")),
+                         "holds" if holds else "VIOLATED"])
+        lines.append("")
+        lines += _table(["grid", "margin", "points", "verdict"], rows,
+                        markdown)
+    soundness = audit.get("soundness")
+    if soundness:
+        verdict = "PROVEN over Q" if soundness.get("ok") else "REJECTED"
+        rows = [
+            [str(c.get("name")), "ok" if c.get("ok") else "FAILED",
+             _fmt(c.get("certified_margin")), _fmt(c.get("slack_shift")),
+             str(c.get("message") or "")]
+            for c in soundness.get("conditions", [])
+        ]
+        lines += ["", f"exact recheck: {verdict}", ""]
+        lines += _table(["condition", "verdict", "certified margin",
+                         "shift", "message"], rows, markdown)
+    return lines
+
+
+def render_report(payload: Dict[str, Any], fmt: str = "text") -> str:
+    """Render a :func:`report_payload` document (``fmt``: ``text`` or
+    ``markdown``); ``--format json`` prints the document itself."""
+    manifest = payload["manifest"]
+    convergence = payload["convergence"]
+    audit = payload["audit"]
+    markdown = fmt == "markdown"
+    lines: List[str] = []
+
+    def section(title: str, body: List[str]) -> None:
+        lines.append(f"## {title}" if markdown else f"== {title} ==")
+        lines.extend(body)
+        lines.append("")
+
+    if manifest or (convergence or {}).get("n_iterations"):
+        name = (manifest or {}).get("name", "(unnamed run)")
+        section(f"Run: {name}", _run_lines(manifest, convergence))
+
+    iterations = (convergence or {}).get("iterations") or []
+    if iterations:
+        rows = [
+            [str(r.get("iteration", "?")), _fmt(r.get("loss")),
+             _fmt(r.get("loss_init")), _fmt(r.get("loss_unsafe")),
+             _fmt(r.get("loss_domain")), _fmt(r.get("worst_violation")),
+             str(r.get("n_counterexamples", 0)),
+             "/".join(str(s) for s in r.get("dataset_sizes") or []),
+             "yes" if r.get("verified") else "no"]
+            for r in iterations
+        ]
+        section("Convergence", _table(
+            ["iter", "loss", "L_I", "L_U", "L_D", "worst", "cex", "dataset",
+             "ok"], rows, markdown))
+
+    lineage = (convergence or {}).get("lineage") or []
+    if lineage:
+        rows = [
+            [str(r.get("iteration")), str(r.get("condition")),
+             str(r.get("paper_condition")), _fmt(r.get("worst_violation")),
+             str(r.get("n_points")),
+             "resolved" if r.get("satisfied_by_final") else "STILL VIOLATED",
+             _fmt(r.get("final_violation"))]
+            for r in lineage
+        ]
+        section("Counterexample lineage", _table(
+            ["iter", "condition", "paper", "violation", "points", "status",
+             "final"], rows, markdown))
+
+    if audit:
+        section("Certificate audit", _audit_lines(audit, markdown))
+
+    totals = payload["phases"]
+    if totals:
+        grand = sum(totals.values())
+        ordered = [p for p in PHASE_ORDER if p in totals]
+        ordered += sorted(set(totals) - set(ordered))
+        rows = [
+            [p, f"{totals[p]:.3f}",
+             f"{100.0 * totals[p] / grand:.1f}%" if grand else "-"]
+            for p in ordered
+        ]
+        rows.append(["total", f"{grand:.3f}", "100.0%"])
+        section("Phases", _table(["phase", "seconds", "share"], rows, markdown))
+
+    spans = payload["spans"]
+    if spans:
+        rows = [
+            [s["name"], str(s["count"]), f"{s['total']:.3f}",
+             f"{s['self']:.3f}", f"{s['mean']:.4f}", f"{s['max']:.4f}"]
+            for s in spans[:MAX_SPAN_ROWS]
+        ]
+        body = _table(["span", "count", "total s", "self s", "mean s",
+                       "max s"], rows, markdown)
+        if len(spans) > MAX_SPAN_ROWS:
+            body.append(f"... {len(spans) - MAX_SPAN_ROWS} more span names")
+        section("Spans", body)
+
+    subphases = payload["ipm_subphases"]
+    if subphases:
+        grand = sum(r["seconds"] for r in subphases)
+        rows = [
+            [r["phase"], f"{r['seconds']:.3f}", str(r["iterations"]),
+             _fmt(r["mean_s"]),
+             f"{100.0 * r['seconds'] / grand:.1f}%" if grand else "-"]
+            for r in subphases
+        ]
+        section("IPM sub-phases", _table(
+            ["phase", "seconds", "iterations", "mean s/it", "share"],
+            rows, markdown))
+
+    summary = payload["metrics"]
+    counters = summary.get("counters", {})
+    gauges = summary.get("gauges", {})
+    if counters or gauges:
+        rows = [[k, "counter", _fmt(float(v))] for k, v in sorted(counters.items())]
+        rows += [[k, "gauge", _fmt(float(v))] for k, v in sorted(gauges.items())]
+        section("Metrics", _table(["metric", "kind", "value"], rows, markdown))
+    if payload["caches"]:
+        rows = [
+            [c["name"], str(c["hits"]), str(c["misses"]),
+             f"{100.0 * c['hit_rate']:.1f}%"]
+            for c in payload["caches"]
+        ]
+        section("Caches", _table(["cache", "hits", "misses", "hit rate"],
+                                 rows, markdown))
+    hists = summary.get("histograms", {})
+    if hists:
+        rows = [
+            [k, str(int(s["count"])), _fmt(s["mean"]), _fmt(s["p50"]),
+             _fmt(s["p95"]), _fmt(s["max"])]
+            for k, s in sorted(hists.items())
+        ]
+        section("Histograms", _table(
+            ["metric", "count", "mean", "p50", "p95", "max"], rows, markdown))
+
+    if not lines:
+        lines.append("(empty trace)")
+    return "\n".join(lines).rstrip() + "\n"

@@ -139,7 +139,7 @@ def session(
     Unless ``status=False``, a live ``<base>.status.json`` heartbeat
     (see :class:`~repro.telemetry.status.StatusWriter`) is attached and
     finished with the manifest outcome — this is what
-    ``python -m repro.telemetry.tail`` watches.
+    ``python -m repro.telemetry tail`` watches.
 
     The manifest outcome defaults to ``success``/``error``; set
     ``telemetry.manifest.finish(...)`` inside the block to override.

@@ -5,7 +5,7 @@ phase, CEGIS iteration, IPM iteration and convergence health class,
 counterexample counts, recovery-ladder rung, remaining time budget, and
 per-worker liveness — and rewrites ``<base>.status.json`` whenever the
 state changes.  Writes are atomic (temp file + ``os.replace``) so a
-reader (``python -m repro.telemetry.tail``) never sees a torn file, and
+reader (``python -m repro.telemetry tail``) never sees a torn file, and
 throttled (``min_interval_s``) so per-IPM-iteration updates from hot
 loops cost one ``perf_counter()`` call most of the time.
 

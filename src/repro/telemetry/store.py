@@ -1,39 +1,79 @@
-"""Cross-run fleet telemetry store.
+"""Run artifact families and the cross-run fleet store.
 
 One run leaves an artifact family on disk (``<base>.jsonl`` trace,
-``<base>.manifest.json``, ``<base>.audit.json``); a results tree
-accumulates many.  This module indexes every family under a root into
-:class:`RunRecord` rows and folds them into one deterministic,
-JSON-ready :func:`fleet_summary` — per-system iteration counts,
-phase-time totals, cache hit rates, SDP recovery engagement, and
-IPM-convergence-class histograms across runs.  It is the query substrate
-the future service tier aggregates per-user requests into; today it is
-the ``python -m repro.telemetry.fleet`` CLI.
+``<base>.manifest.json``, ``<base>.audit.json``, ``<base>.status.json``);
+:func:`run_family` is the one place that maps a path onto those files.
+A results tree accumulates many families.  This module indexes every
+family under a root into :class:`RunRecord` rows and folds them into one
+deterministic, JSON-ready :func:`fleet_summary` — per-system iteration
+counts, phase-time totals, cache hit rates, SDP recovery engagement, and
+IPM-convergence-class histograms across runs — which
+:func:`render_fleet_text` prints for ``python -m repro.telemetry fleet
+ROOT``.
 
 Everything here reads static files and tolerates partial families:
 a trace with no manifest, or whose manifest never recorded an outcome
 (the process died mid-run), indexes with the explicit outcome
 ``incomplete`` and ``incomplete: true`` on the record; malformed JSONL
-lines are skipped the same way the report CLIs skip them, and artifacts
+lines are skipped the same way the report skips them, and artifacts
 written before a given schema addition simply leave the corresponding
 fields empty.
 The summary is a pure function of file contents — no clocks — so
 committed fixtures can pin it with a golden test; *live* staleness
-detection (heartbeat age) belongs to ``repro.telemetry.tail``.
+detection (heartbeat age) belongs to :mod:`repro.telemetry.tail`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.telemetry.report import cache_rates, metrics_summary, phase_totals
+from repro.telemetry.manifest import read_json
+from repro.telemetry.report import (
+    _fmt,
+    _table,
+    cache_rates,
+    metrics_summary,
+    phase_totals,
+)
 from repro.telemetry.spans import read_trace
 
 FLEET_SCHEMA_VERSION = 1
+
+
+class RunFamily(NamedTuple):
+    """One run's artifact paths.  ``trace`` is always set (the file may
+    not exist); ``manifest``, ``audit`` and ``status`` are ``None`` when
+    the file is absent."""
+
+    base: str
+    trace: str
+    manifest: Optional[str]
+    audit: Optional[str]
+    status: Optional[str]
+
+
+def run_family(target: str) -> RunFamily:
+    """Map a run's base path, or the path of any one of its artifacts,
+    onto the whole family.  An existing file with none of the family's
+    suffixes is a trace under another name and is its own base."""
+    base = target
+    for suffix in (".status.json", ".manifest.json", ".audit.json", ".jsonl"):
+        if target.endswith(suffix):
+            base = target[: -len(suffix)]
+            break
+    trace = base + ".jsonl"
+    if base == target and os.path.isfile(target) and not os.path.exists(trace):
+        trace = target
+
+    def sibling(suffix: str) -> Optional[str]:
+        path = base + suffix
+        return path if os.path.exists(path) else None
+
+    return RunFamily(base, trace, sibling(".manifest.json"),
+                     sibling(".audit.json"), sibling(".status.json"))
 
 
 def _round(x: Optional[float], digits: int = 6) -> Optional[float]:
@@ -93,13 +133,14 @@ class RunRecord:
         }
 
 
-def _load_json(path: str) -> Optional[Dict[str, Any]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            out = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+def _read_optional(path: Optional[str]) -> Optional[Dict[str, Any]]:
+    """A sibling JSON artifact, or ``None`` when absent or unreadable."""
+    if path is None:
         return None
-    return out if isinstance(out, dict) else None
+    try:
+        return read_json(path)
+    except (OSError, ValueError):
+        return None
 
 
 def _system_and_scale(name: str, base: str) -> Tuple[str, str]:
@@ -159,18 +200,19 @@ def load_run(trace_path: str, root: Optional[str] = None) -> Optional[RunRecord]
     Returns ``None`` when the trace is unreadable or contains no valid
     JSON lines at all (e.g. a stray non-trace ``.jsonl``).
     """
+    family = run_family(trace_path)
     try:
-        events, skipped = read_trace(trace_path)
+        events, skipped = read_trace(family.trace)
     except OSError:
         return None
     if not events and skipped:
         return None
 
-    base = trace_path[:-6] if trace_path.endswith(".jsonl") else trace_path
+    base = family.base
     rel_base = os.path.relpath(base, root) if root else base
     rec = RunRecord(base=rel_base.replace(os.sep, "/"), n_events=len(events))
 
-    manifest = _load_json(base + ".manifest.json")
+    manifest = _read_optional(family.manifest)
     if manifest:
         rec.name = str(manifest.get("name") or "unknown")
         outcome = manifest.get("outcome")
@@ -200,7 +242,7 @@ def load_run(trace_path: str, root: Optional[str] = None) -> Optional[RunRecord]
     rec.system, file_scale = _system_and_scale(rec.name, base)
     rec.scale = str(scale) if scale else file_scale
 
-    audit = _load_json(base + ".audit.json")
+    audit = _read_optional(family.audit)
     rec.phases = phase_totals(events)
     counters = metrics_summary(events).get("counters", {})
     rec.caches = {
@@ -340,3 +382,92 @@ def fleet_summary(records: Sequence[RunRecord]) -> Dict[str, Any]:
         "systems": system_rows,
         "runs": [r.to_dict() for r in records],
     }
+
+
+def render_fleet_text(summary: Dict[str, Any]) -> str:
+    """Human-readable rendering of a fleet summary document."""
+    lines: List[str] = []
+    lines.append(
+        f"== Fleet: {summary.get('n_runs', 0)} run(s) across "
+        f"{summary.get('n_systems', 0)} system(s) =="
+    )
+    if summary.get("n_incomplete"):
+        lines.append(f"   incomplete={summary['n_incomplete']}")
+    outcomes = summary.get("outcomes", {})
+    if outcomes:
+        lines.append(
+            "outcomes: "
+            + "  ".join(f"{k}={v}" for k, v in sorted(outcomes.items()))
+        )
+    lines.append("")
+
+    runs = summary.get("runs", [])
+    if runs:
+        rows = [
+            [
+                r.get("base", "?"),
+                r.get("system", "?"),
+                r.get("scale", "?"),
+                r.get("outcome", "?"),
+                _fmt(r.get("iterations")),
+                _fmt(r.get("elapsed_seconds")),
+                "yes" if r.get("truncated") else "no",
+            ]
+            for r in runs
+        ]
+        lines.append("== Runs ==")
+        lines += _table(
+            ["run", "system", "scale", "outcome", "iters", "elapsed s",
+             "truncated"],
+            rows,
+        )
+        lines.append("")
+
+    systems = summary.get("systems", {})
+    if systems:
+        rows = []
+        for system, s in sorted(systems.items()):
+            iters = s.get("iterations", {})
+            phases = s.get("phase_seconds", {})
+            verification = (phases.get("verification") or {}).get("total")
+            learning = (phases.get("learning") or {}).get("total")
+            conv = s.get("convergence", {})
+            recovery = s.get("sdp_recovery", {})
+            rows.append([
+                system,
+                str(s.get("runs", 0)),
+                _fmt(iters.get("mean")),
+                _fmt(learning),
+                _fmt(verification),
+                _fmt(s.get("cache_hit_rate")),
+                f"{recovery.get('engaged', 0)}/{recovery.get('successes', 0)}",
+                " ".join(f"{k}={v}" for k, v in sorted(conv.items())) or "-",
+            ])
+        lines.append("== Systems ==")
+        lines += _table(
+            ["system", "runs", "mean iters", "learn s", "verify s",
+             "cache hit", "recov eng/succ", "ipm convergence"],
+            rows,
+        )
+        lines.append("")
+
+    convergence = summary.get("convergence", {})
+    if convergence:
+        lines.append("== IPM convergence classes (all runs) ==")
+        total = sum(convergence.values()) or 1
+        for cls, n in sorted(convergence.items()):
+            lines.append(f"  {cls:<16} {n:>6}  {100.0 * n / total:>5.1f}%")
+        lines.append("")
+
+    caches = summary.get("caches", {})
+    if caches:
+        rows = [
+            [name, str(c.get("hits", 0)), str(c.get("misses", 0)),
+             _fmt(c.get("rate"))]
+            for name, c in sorted(caches.items())
+        ]
+        lines.append("== Caches (all runs) ==")
+        lines += _table(["cache", "hits", "misses", "hit rate"], rows)
+        lines.append("")
+
+    return "\n".join(lines).rstrip() + "\n"

@@ -1,21 +1,23 @@
 """Live run-health streaming: follow status.json heartbeats.
 
-    python -m repro.telemetry.tail results/telemetry/C1-smoke
-    python -m repro.telemetry.tail results/telemetry/C1-smoke.jsonl
-    python -m repro.telemetry.tail --fleet results/
-    python -m repro.telemetry.tail --fleet results/ --once
+    python -m repro.telemetry tail results/telemetry/C1-smoke
+    python -m repro.telemetry tail results/telemetry/C1-smoke.jsonl
+    python -m repro.telemetry tail results/ --fleet
+    python -m repro.telemetry tail results/ --fleet --once
 
-Single-run mode follows one run: a phase ticker (phase, CEGIS iteration,
-IPM iteration + convergence class, counterexample counts, recovery rung,
-remaining budget) re-rendered every ``--interval`` seconds from the
-run's atomically-written ``status.json``, interleaved with the trace's
-non-span events as they are appended (``flush_every=1`` on the sink
-makes them visible live).  Exits when the run records an outcome.
+Single-run mode (:func:`follow_run`) follows one run: a phase ticker
+(phase, CEGIS iteration, IPM iteration + convergence class,
+counterexample counts, recovery rung, remaining budget) re-rendered every
+:data:`POLL_INTERVAL_S` seconds from the run's atomically-written
+``status.json``, interleaved with the trace's non-span events as they
+are appended (``flush_every=1`` on the sink makes them visible live).
+Exits 0 when the run records an outcome, 1 when its heartbeat is lost.
 
-``--fleet`` mode renders a one-line-per-run board over every
-``*.status.json`` under a results tree, with dead-man detection: a run
-whose heartbeat is older than ``--stale-after`` seconds shows STALLED,
-older than ``--dead-after`` shows DEAD — no cooperation from the
+``--fleet`` mode (:func:`follow_fleet`) renders a one-line-per-run board
+over every ``*.status.json`` under a results tree, with dead-man
+detection: a run whose heartbeat is older than
+:data:`DEFAULT_STALE_AFTER_S` seconds shows STALLED, older than
+:data:`DEFAULT_DEAD_AFTER_S` shows DEAD — no cooperation from the
 (possibly wedged) run process required.  A certification-service
 supervisor (its status carries a ``service`` block) renders queue
 health instead of CEGIS progress: queue depth, in-flight, done/total,
@@ -28,7 +30,6 @@ SERIAL marker when the pool degraded to in-process execution; its
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -36,7 +37,10 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.status import read_status
+from repro.telemetry.store import run_family
 
+#: seconds between two polls of a followed run or fleet
+POLL_INTERVAL_S = 1.0
 #: heartbeat age (seconds) after which a run with no outcome is STALLED
 DEFAULT_STALE_AFTER_S = 30.0
 #: heartbeat age (seconds) after which it is presumed DEAD
@@ -183,20 +187,14 @@ def find_status_files(root: str) -> List[str]:
 
 
 def resolve_run_status_path(target: str) -> Optional[str]:
-    """Map a run dir / trace path / status path onto its status.json."""
-    if target.endswith(".status.json"):
-        return target if os.path.exists(target) else None
-    if target.endswith(".jsonl"):
-        candidate = target[: -len(".jsonl")] + ".status.json"
-        return candidate if os.path.exists(candidate) else None
+    """Map a run dir / base / trace / status path onto its status.json."""
     if os.path.isdir(target):
         found = find_status_files(target)
         if not found:
             return None
         # most recently touched heartbeat = the run being watched
         return max(found, key=lambda p: (os.path.getmtime(p), p))
-    candidate = target + ".status.json"
-    return candidate if os.path.exists(candidate) else None
+    return run_family(target).status
 
 
 # -- single-run event stream --------------------------------------------
@@ -253,14 +251,14 @@ class _TraceFollower:
         return events
 
 
-def _tail_run(args: argparse.Namespace) -> int:
-    status_path = resolve_run_status_path(args.target)
+def follow_run(target: str, once: bool = False) -> int:
+    """Follow one run until it records an outcome (0) or its heartbeat
+    is lost (1); 2 when the target has no status.json."""
+    status_path = resolve_run_status_path(target)
     if status_path is None:
-        print(f"error: no status.json found for {args.target}",
-              file=sys.stderr)
+        print(f"error: no status.json found for {target}", file=sys.stderr)
         return 2
-    trace_path = status_path[: -len(".status.json")] + ".jsonl"
-    follower = _TraceFollower(trace_path)
+    follower = _TraceFollower(run_family(status_path).trace)
     last_line = None
     while True:
         now = time.time()
@@ -269,72 +267,38 @@ def _tail_run(args: argparse.Namespace) -> int:
             line = format_event(event)
             if line:
                 print(line, flush=True)
-        line = render_status_line(status, now, args.stale_after,
-                                  args.dead_after)
+        line = render_status_line(status, now)
         if line != last_line:
             print(line, flush=True)
             last_line = line
-        if args.once or status.get("outcome"):
+        if once or status.get("outcome"):
             return 0
-        state = classify(status, now, args.stale_after, args.dead_after)
-        if state == "DEAD":
+        if classify(status, now) == "DEAD":
             print("heartbeat lost; giving up", file=sys.stderr)
             return 1
-        time.sleep(args.interval)
+        time.sleep(POLL_INTERVAL_S)
 
 
-def _tail_fleet(args: argparse.Namespace) -> int:
+def follow_fleet(root: str, once: bool = False) -> int:
+    """Re-render the fleet board under ``root`` until every run has an
+    outcome (or once); always 0."""
     while True:
         now = time.time()
         statuses = [
             (path, status)
-            for path in find_status_files(args.target)
+            for path in find_status_files(root)
             for status in [read_status(path)]
             if status is not None
         ]
-        board = render_fleet_board(statuses, now, args.stale_after,
-                                   args.dead_after)
+        board = render_fleet_board(statuses, now)
         stamp = time.strftime("%H:%M:%S", time.localtime(now))
         print(f"-- fleet @ {stamp} ({len(statuses)} run(s)) --", flush=True)
         for line in board:
             print(line, flush=True)
-        if args.once:
+        if once:
             return 0
         if statuses and all(
             status.get("outcome") for _, status in statuses
         ):
             return 0
-        time.sleep(args.interval)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry.tail", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("target",
-                        help="run dir / trace / status.json (or, with "
-                             "--fleet, a results tree)")
-    parser.add_argument("--fleet", action="store_true",
-                        help="render a one-line-per-run board over every "
-                             "*.status.json under the target tree")
-    parser.add_argument("--interval", type=float, default=1.0,
-                        help="poll interval in seconds (default 1.0)")
-    parser.add_argument("--stale-after", type=float,
-                        default=DEFAULT_STALE_AFTER_S,
-                        help="heartbeat age marking a run STALLED "
-                             f"(default {DEFAULT_STALE_AFTER_S:.0f}s)")
-    parser.add_argument("--dead-after", type=float,
-                        default=DEFAULT_DEAD_AFTER_S,
-                        help="heartbeat age marking a run DEAD "
-                             f"(default {DEFAULT_DEAD_AFTER_S:.0f}s)")
-    parser.add_argument("--once", action="store_true",
-                        help="render one snapshot and exit (scripts/CI)")
-    args = parser.parse_args(argv)
-    if args.fleet:
-        return _tail_fleet(args)
-    return _tail_run(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        time.sleep(POLL_INTERVAL_S)

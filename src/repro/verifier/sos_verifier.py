@@ -79,7 +79,6 @@ class VerifierConfig:
     eps_init: float = 1e-4
     eps_unsafe: float = 1e-4
     eps_lie: float = 1e-4
-    validate: bool = True
     psd_tolerance: float = 1e-6
     sdp_options: InteriorPointOptions = field(
         default_factory=lambda: InteriorPointOptions(max_iterations=100, tolerance=1e-8)
@@ -94,12 +93,6 @@ class VerifierConfig:
     #: :mod:`repro.resilience.recovery`).  Healthy solves are untouched,
     #: so default-on recovery is bit-identical on converging instances.
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
-    #: attach a :class:`~repro.soundness.certificate.CertificateBundle`
-    #: (Gram matrices, multipliers, lambda, margins, boxes) to passing
-    #: verifications so :mod:`repro.soundness.checker` can re-prove the
-    #: Putinar identities over ℚ.  Capture is pure bookkeeping — it never
-    #: changes verdicts or solver behavior.
-    capture_certificate: bool = True
     #: seed each condition's IPM from its previous successful solve
     #: (the learner moves the candidate only slightly between CEGIS
     #: iterations, so the old primal/dual point is near the new central
@@ -165,8 +158,9 @@ class VerificationResult:
     elapsed_seconds: float
     lambda_poly: Optional[Polynomial] = None
     lambda_polys: Optional[dict] = None
-    #: Gram-level evidence for the exact rational recheck; present on
-    #: passing verifications when ``VerifierConfig.capture_certificate``
+    #: Gram-level evidence for the exact rational recheck (Gram
+    #: matrices, multipliers, lambda, margins, boxes); present on every
+    #: passing verification
     certificate: Optional[CertificateBundle] = None
 
     def failed_conditions(self) -> List[str]:
@@ -418,22 +412,6 @@ class SOSVerifier:
                 None,
             )
         lam_poly = sol.value(prep.lam_expr) if prep.lam_expr is not None else None
-        if not cfg.validate:
-            if span is not None:
-                span.set_attrs(feasible=True, validated=True)
-            cert = (
-                self._capture(prep, sol, lam_poly)
-                if cfg.capture_certificate
-                else None
-            )
-            return (
-                ConditionReport(
-                    name, True, True, elapsed, "validation skipped",
-                    **sdp_stats,
-                ),
-                lam_poly,
-                cert,
-            )
         # rebuild the fully-substituted LHS and validate the identity
         realized = prep.expr_known - prep.margin
         for s, g in zip(prep.multipliers, prep.region.constraints):
@@ -462,11 +440,7 @@ class SOSVerifier:
             )
         if not report.ok:
             tel.metrics.inc(f"verifier.validation_failed.{base}")
-        cert = (
-            self._capture(prep, sol, lam_poly)
-            if (report.ok and cfg.capture_certificate)
-            else None
-        )
+        cert = self._capture(prep, sol, lam_poly) if report.ok else None
         return (
             ConditionReport(
                 name=name,
@@ -660,7 +634,7 @@ class SOSVerifier:
     ) -> Optional[CertificateBundle]:
         """Assemble the per-candidate bundle from passing-condition
         certificates (``B`` is the normalized candidate they certify)."""
-        if not self.config.capture_certificate or not certs:
+        if not certs:
             return None
         return CertificateBundle(
             barrier=B,

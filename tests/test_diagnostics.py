@@ -19,14 +19,12 @@ from repro.diagnostics import (
     write_bench,
 )
 from repro.diagnostics.regress import compare
-from repro.diagnostics.regress import main as regress_main
-from repro.diagnostics.report import main as report_main
-from repro.diagnostics.report import resolve_run
 from repro.dynamics import CCDS, ControlAffineSystem
 from repro.learner import LearnerConfig
 from repro.poly import Polynomial
 from repro.sets import Box
-from repro.telemetry import InMemorySink, Telemetry
+from repro.telemetry import InMemorySink, Telemetry, run_family
+from repro.telemetry.__main__ import main as cli_main
 
 
 # ----------------------------------------------------------------------
@@ -313,28 +311,28 @@ def test_regress_cli_exit_codes(tmp_path, capsys):
     old = str(tmp_path / "old.json")
     write_bench(old, _table1_doc({"C1": _bench_row(t=1.0)}))
 
-    assert regress_main([old, old]) == 0
+    assert cli_main(["regress", old, old]) == 0
     assert "no regressions" in capsys.readouterr().out
 
     slow = str(tmp_path / "slow.json")
     write_bench(slow, _table1_doc({"C1": _bench_row(t=3.0)}))
-    assert regress_main([old, slow, "--max-slowdown", "1.3"]) == 1
+    assert cli_main(["regress", old, slow, "--max-slowdown", "1.3"]) == 1
     assert "FAIL" in capsys.readouterr().out
     # generous threshold lets the same document pass
-    assert regress_main([old, slow, "--max-slowdown", "10"]) == 0
+    assert cli_main(["regress", old, slow, "--max-slowdown", "10"]) == 0
     capsys.readouterr()
 
     garbage = str(tmp_path / "garbage.json")
     with open(garbage, "w") as fh:
         fh.write("{not json")
-    assert regress_main([old, garbage]) == 2
-    assert regress_main([str(tmp_path / "missing.json"), old]) == 2
+    assert cli_main(["regress", old, garbage]) == 2
+    assert cli_main(["regress", str(tmp_path / "missing.json"), old]) == 2
 
     # mixing document kinds is a usage error, not a comparison
     service = str(tmp_path / "service.json")
     write_bench(service, bench_document("BENCH_service", "smoke", {}))
-    assert regress_main([old, service]) == 2
-    assert regress_main([service, old]) == 2
+    assert cli_main(["regress", old, service]) == 2
+    assert cli_main(["regress", service, old]) == 2
 
 
 def test_regress_only_filters_every_kind(tmp_path, capsys):
@@ -343,9 +341,9 @@ def test_regress_only_filters_every_kind(tmp_path, capsys):
     write_bench(old, _table1_doc(rows))
     new = str(tmp_path / "new.json")
     write_bench(new, _table1_doc({"C1": _bench_row(t=1.0)}))
-    assert regress_main([old, new]) == 1
-    assert regress_main([old, new, "--only", "C1"]) == 0
-    assert regress_main([old, new, "--only", "C1,C9"]) == 0
+    assert cli_main(["regress", old, new]) == 1
+    assert cli_main(["regress", old, new, "--only", "C1"]) == 0
+    assert cli_main(["regress", old, new, "--only", "C1,C9"]) == 0
     assert "C9: not in OLD baseline" in capsys.readouterr().out
 
     # the same filter applies to service job keys
@@ -353,8 +351,8 @@ def test_regress_only_filters_every_kind(tmp_path, capsys):
     write_bench(svc_old, _service_doc())
     svc_new = str(tmp_path / "svc_new.json")
     write_bench(svc_new, _service_doc(statuses=("success", "dead_letter")))
-    assert regress_main([svc_old, svc_new]) == 1
-    assert regress_main([svc_old, svc_new, "--only", f"{0:064x}"]) == 0
+    assert cli_main(["regress", svc_old, svc_new]) == 1
+    assert cli_main(["regress", svc_old, svc_new, "--only", f"{0:064x}"]) == 0
 
 
 def test_committed_bench_documents_load_and_self_compare(capsys):
@@ -373,7 +371,7 @@ def test_committed_bench_documents_load_and_self_compare(capsys):
     for rel in paths:
         path = os.path.join(root, rel)
         assert load_bench(path)["rows"], rel
-        assert regress_main([path, path]) == 0, rel
+        assert cli_main(["regress", path, path]) == 0, rel
     capsys.readouterr()
 
 
@@ -489,47 +487,34 @@ def _write_run_family(tmp_path, name="run"):
 
 def test_report_cli_renders_and_writes_dashboard(tmp_path, capsys):
     base = _write_run_family(tmp_path)
-    assert report_main([base]) == 0
+    html = str(tmp_path / "nested" / "run.report.html")
+    assert cli_main(["report", base, "--html", html]) == 0
     out = capsys.readouterr().out
     assert "unit/run" in out
     assert "Convergence" in out and "lineage" in out.lower()
-    page = open(base + ".report.html").read()
+    page = open(html).read()
     assert "<svg" in page and "</html>" in page
     assert "http" not in page.replace("http://www.w3.org", "")  # offline
 
     # .jsonl path spells the same family
-    assert resolve_run(base + ".jsonl")["base"] == base
+    family = run_family(base + ".jsonl")
+    assert family.base == base and family.trace == base + ".jsonl"
+    assert family.manifest == base + ".manifest.json"
+    assert family.audit is None and family.status is None
 
 
 def test_report_cli_no_html(tmp_path, capsys):
     import os
 
     base = _write_run_family(tmp_path, "nohtml")
-    assert report_main([base, "--no-html"]) == 0
+    assert cli_main(["report", base]) == 0
     capsys.readouterr()
-    assert not os.path.exists(base + ".report.html")
+    assert not any(name.endswith(".html") for name in os.listdir(tmp_path))
 
 
 def test_report_cli_missing_trace(tmp_path, capsys):
-    assert report_main([str(tmp_path / "nope")]) == 2
+    assert cli_main(["report", str(tmp_path / "nope")]) == 2
     assert "cannot read trace" in capsys.readouterr().err
-
-
-def test_report_cli_all_malformed(tmp_path, capsys):
-    base = str(tmp_path / "junk")
-    with open(base + ".jsonl", "w") as fh:
-        fh.write("not json at all\n{still: not json\n")
-    assert report_main([base]) == 1
-    assert "malformed" in capsys.readouterr().err
-
-
-def test_report_cli_truncated_line_warns(tmp_path, capsys):
-    base = _write_run_family(tmp_path, "trunc")
-    with open(base + ".jsonl", "a") as fh:
-        fh.write('{"type": "cegis.iter')  # crash mid-write
-    assert report_main([base, "--no-html"]) == 0
-    err = capsys.readouterr().err
-    assert "skipped 1 malformed line" in err
 
 
 def test_report_cli_missing_manifest_warns(tmp_path, capsys):
@@ -537,5 +522,5 @@ def test_report_cli_missing_manifest_warns(tmp_path, capsys):
 
     base = _write_run_family(tmp_path, "noman")
     os.remove(base + ".manifest.json")
-    assert report_main([base, "--no-html"]) == 0
+    assert cli_main(["report", base]) == 0
     assert "no manifest" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Tests for the fleet telemetry store and CLI (store.py / fleet.py).
+"""Tests for the fleet telemetry store and the ``fleet`` subcommand.
 
 The committed fixtures under ``tests/data/fleet/`` are run artifact
 families (the first two copied from real ``results/telemetry/`` runs):
@@ -15,13 +15,14 @@ aggregate over them.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.telemetry import fleet_summary, load_run, scan_runs
-from repro.telemetry.fleet import main as fleet_main
-from repro.telemetry.fleet import render_fleet_text
-from repro.telemetry.store import RunRecord, _system_and_scale
+from repro.telemetry.__main__ import main as cli_main
+from repro.telemetry.store import RunRecord, _system_and_scale, render_fleet_text
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "data", "fleet")
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "fleet_golden.json")
@@ -177,7 +178,7 @@ def test_run_record_to_dict_rounds_and_sorts():
 # CLI
 # ----------------------------------------------------------------------
 def test_fleet_cli_text_output(capsys):
-    assert fleet_main([FIXTURES]) == 0
+    assert cli_main(["fleet", FIXTURES]) == 0
     out = capsys.readouterr().out
     assert "3 run(s) across 3 system(s)" in out
     assert "incomplete=1" in out
@@ -187,27 +188,35 @@ def test_fleet_cli_text_output(capsys):
 
 
 def test_fleet_cli_json_matches_golden(capsys):
-    assert fleet_main([FIXTURES, "--format", "json"]) == 0
+    assert cli_main(["fleet", FIXTURES, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == json.load(open(GOLDEN))
 
 
-def test_fleet_cli_out_writes_document(tmp_path, capsys):
-    out = str(tmp_path / "nested" / "fleet.json")
-    assert fleet_main([FIXTURES, "--out", out]) == 0
-    capsys.readouterr()
+def test_fleet_cli_out_writes_document(tmp_path):
+    """The summary document is ``--format json`` redirected to a file."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = tmp_path / "fleet.json"
+    with open(out, "w") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.telemetry", "fleet", FIXTURES,
+             "--format", "json"],
+            stdout=fh, env=dict(os.environ, PYTHONPATH=src),
+        )
+    assert proc.returncode == 0
     doc = json.load(open(out))
     assert doc["kind"] == "fleet_summary"
     assert doc["n_runs"] == 3
 
 
 def test_fleet_cli_empty_root(tmp_path, capsys):
-    assert fleet_main([str(tmp_path)]) == 1
+    assert cli_main(["fleet", str(tmp_path)]) == 1
     assert "no run traces" in capsys.readouterr().err
 
 
 def test_fleet_cli_missing_root(tmp_path, capsys):
-    assert fleet_main([str(tmp_path / "absent")]) == 2
+    assert cli_main(["fleet", str(tmp_path / "absent")]) == 2
     assert "not a directory" in capsys.readouterr().err
 
 

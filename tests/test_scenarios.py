@@ -169,7 +169,7 @@ class TestBenchDoc:
         assert any("missing" in w for w in soft["warnings"])
 
     def test_regress_cli_dispatch(self, tmp_path, capsys):
-        from repro.diagnostics.regress import main
+        from repro.telemetry.__main__ import main as cli_main
 
         rows = run_batch(0, 5)
         doc = self._doc(rows)
@@ -182,7 +182,7 @@ class TestBenchDoc:
         bad["invariants"]["all_terminal"] = False
         write_bench(str(new_path), bad)
 
-        assert main([str(old_path), str(old_path)]) == 0
-        assert main([str(old_path), str(new_path)]) == 1
+        assert cli_main(["regress", str(old_path), str(old_path)]) == 0
+        assert cli_main(["regress", str(old_path), str(new_path)]) == 1
         out = capsys.readouterr().out
         assert "outcome flips: 1" in out

@@ -549,3 +549,24 @@ def test_cli_reports_dead_letters_in_exit_code(tmp_path, capsys):
                "--jobs-file", jobs_file, "--workers", "0"])
     capsys.readouterr()
     assert rc == 3  # terminated, but with a dead letter
+
+
+def test_service_bench_reruns_leave_only_root_and_out(tmp_path, capsys):
+    """The chaos bench keeps its donor and serial batches in temporary
+    roots: two runs into one directory both pass, and leave nothing
+    beside ``--root`` but the ``--out`` document."""
+    import importlib.util
+
+    script = os.path.join(os.path.dirname(SRC), "benchmarks",
+                          "run_bench_service.py")
+    spec = importlib.util.spec_from_file_location("run_bench_service", script)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    root = str(tmp_path / "svc")
+    out = str(tmp_path / "BENCH_service.json")
+    argv = ["--jobs", "2", "--workers", "0", "--corrupt-cache",
+            "--serial-check", "--root", root, "--out", out]
+    assert bench.main(argv) == 0
+    assert bench.main(argv) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(tmp_path)) == ["BENCH_service.json", "svc"]

@@ -1,5 +1,5 @@
 """Tests for live run-health streaming: status.json heartbeats
-(repro.telemetry.status) and the tail CLI (repro.telemetry.tail),
+(repro.telemetry.status) and the ``tail`` subcommand (repro.telemetry.tail),
 plus crash durability of the line-flushed JSONL sink.
 """
 
@@ -14,13 +14,13 @@ import pytest
 
 from repro.telemetry import session
 from repro.telemetry.status import StatusWriter, read_status
+from repro.telemetry.__main__ import main as cli_main
 from repro.telemetry.tail import (
     _TraceFollower,
     classify,
     find_status_files,
     format_event,
     heartbeat_age,
-    main as tail_main,
     render_fleet_board,
     render_status_line,
     resolve_run_status_path,
@@ -263,7 +263,7 @@ def test_tail_cli_single_run_once(tmp_path, capsys):
     with session(str(tmp_path / "C1-smoke.jsonl"), name="table1/C1") as tel:
         tel.event("cegis.iteration", iteration=1)
         tel.status_update(phase="learning", cegis_iteration=1, force=True)
-    assert tail_main([str(tmp_path / "C1-smoke"), "--once"]) == 0
+    assert cli_main(["tail", str(tmp_path / "C1-smoke"), "--once"]) == 0
     out = capsys.readouterr().out
     assert "table1/C1" in out
     assert "[cegis.iteration]" in out
@@ -274,12 +274,12 @@ def test_tail_cli_follows_to_outcome(tmp_path, capsys):
     with session(str(tmp_path / "C2-smoke.jsonl"), name="table1/C2") as tel:
         tel.status_update(phase="verification", force=True)
     # run already finished: the follow loop sees the outcome and exits 0
-    assert tail_main([str(tmp_path / "C2-smoke"), "--interval", "0.01"]) == 0
+    assert cli_main(["tail", str(tmp_path / "C2-smoke")]) == 0
     assert "SUCCESS" in capsys.readouterr().out
 
 
 def test_tail_cli_no_status_found(tmp_path, capsys):
-    assert tail_main([str(tmp_path / "ghost"), "--once"]) == 2
+    assert cli_main(["tail", str(tmp_path / "ghost"), "--once"]) == 2
     assert "no status.json" in capsys.readouterr().err
 
 
@@ -289,7 +289,7 @@ def test_tail_cli_dead_heartbeat_gives_up(tmp_path, capsys):
     stale.state["heartbeat_wall"] = time.time() - 1e6  # ancient heartbeat
     with open(stale.path, "w") as fh:
         json.dump(stale.state, fh)  # no outcome recorded
-    assert tail_main([str(tmp_path / "C7-smoke")]) == 1
+    assert cli_main(["tail", str(tmp_path / "C7-smoke")]) == 1
     captured = capsys.readouterr()
     assert "DEAD" in captured.out and "table1/C7" in captured.out
     assert "heartbeat lost" in captured.err
@@ -303,7 +303,7 @@ def test_tail_cli_fleet_once(tmp_path, capsys):
     stale.state["heartbeat_wall"] = time.time() - 1e6  # ancient heartbeat
     with open(stale.path, "w") as fh:
         json.dump(stale.state, fh)
-    assert tail_main(["--fleet", str(tmp_path), "--once"]) == 0
+    assert cli_main(["tail", "--fleet", str(tmp_path), "--once"]) == 0
     out = capsys.readouterr().out
     assert "2 run(s)" in out
     assert "SUCCESS" in out and "table1/C1" in out

@@ -1,6 +1,9 @@
 """Tests for the telemetry subsystem (spans, metrics, manifest, report)."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -28,10 +31,11 @@ from repro.telemetry.report import (
     metrics_summary,
     phase_totals,
     render_report,
+    report_payload,
     span_aggregates,
     span_self_times,
 )
-from repro.telemetry.report import main as report_main
+from repro.telemetry.__main__ import main as cli_main
 
 
 # ----------------------------------------------------------------------
@@ -364,9 +368,9 @@ def test_phase_totals_skip_unphased_spans(tmp_path):
 
 def test_render_report_text_and_markdown(tmp_path):
     events = load_events(_sample_trace(tmp_path))
-    text = render_report(events, fmt="text")
+    text = render_report(report_payload(events), "text")
     assert "Phases" in text and "learning" in text and "cegis.iterations" in text
-    md = render_report(events, fmt="markdown")
+    md = render_report(report_payload(events), "markdown")
     assert "## Phases" in md and "| phase |" in md
 
 
@@ -390,13 +394,13 @@ def test_render_report_caches_section(tmp_path):
         tel.metrics.inc("verifier.workspace.hits", 3)
         tel.metrics.inc("verifier.workspace.misses")
     events = load_events(trace)
-    text = render_report(events, fmt="text")
+    text = render_report(report_payload(events), "text")
     assert "Caches" in text and "verifier.workspace" in text and "75.0%" in text
 
 
 def test_report_cli_main(tmp_path, capsys):
     trace = _sample_trace(tmp_path)
-    assert report_main([trace]) == 0
+    assert cli_main(["report", trace]) == 0
     out = capsys.readouterr().out
     # manifest auto-detected next to the trace
     assert "report-test" in out
@@ -406,10 +410,11 @@ def test_report_cli_main(tmp_path, capsys):
 
 def test_report_cli_json_format(tmp_path, capsys):
     trace = _sample_trace(tmp_path)
-    assert report_main([trace, "--format", "json"]) == 0
+    assert cli_main(["report", trace, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"manifest", "phases", "spans", "metrics",
-                            "caches", "ipm_subphases"}
+                            "caches", "ipm_subphases", "convergence",
+                            "audit"}
     assert payload["manifest"]["name"] == "report-test"
     assert set(payload["phases"]) == {"learning", "verification"}
     assert payload["metrics"]["counters"]["cegis.iterations"] == 2.0
@@ -420,12 +425,12 @@ def test_report_cli_all_lines_malformed_fails(tmp_path, capsys):
     trace = str(tmp_path / "garbage.jsonl")
     with open(trace, "w") as fh:
         fh.write("not json\n{also broken\n")
-    assert report_main([trace]) == 1
+    assert cli_main(["report", trace]) == 1
     assert "malformed" in capsys.readouterr().err
 
 
 def test_report_cli_unreadable_trace(tmp_path, capsys):
-    assert report_main([str(tmp_path / "absent.jsonl")]) == 2
+    assert cli_main(["report", str(tmp_path / "absent.jsonl")]) == 2
     assert "cannot read trace" in capsys.readouterr().err
 
 
@@ -433,10 +438,28 @@ def test_report_cli_partial_corruption_warns(tmp_path, capsys):
     trace = _sample_trace(tmp_path)
     with open(trace, "a") as fh:
         fh.write('{"type": "span", "name": "tru')  # crash mid-write
-    assert report_main([trace]) == 0
+    assert cli_main(["report", trace]) == 0
     captured = capsys.readouterr()
     assert "skipped 1 malformed line" in captured.err
     assert "learning" in captured.out
+
+
+def test_import_telemetry_stays_stdlib_only():
+    """The package and its CLI module load neither numpy nor
+    repro.diagnostics: each subcommand imports those when it runs."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    child = (
+        "import sys, repro.telemetry, repro.telemetry.__main__\n"
+        "bad = [m for m in ('numpy', 'repro.diagnostics') if m in sys.modules]\n"
+        "print(','.join(bad))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 # ----------------------------------------------------------------------
@@ -480,12 +503,11 @@ def test_span_aggregates_include_self_column():
     assert rows["outer"][1] == pytest.approx(1.0)   # total is inclusive
     assert rows["outer"][2] == pytest.approx(0.6)   # self excludes child
     assert rows["inner"][2] == pytest.approx(0.4)
-    text = render_report(events, fmt="text")
+    text = render_report(report_payload(events), "text")
     assert "self s" in text
 
 
 def test_report_payload_span_rows_carry_self(tmp_path):
-    from repro.telemetry.report import report_payload
     events = load_events(_sample_trace(tmp_path))
     payload = report_payload(events)
     assert payload["spans"]

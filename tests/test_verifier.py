@@ -150,14 +150,6 @@ def test_condition_reports_have_timings():
     assert result.elapsed_seconds > 0
 
 
-def test_validation_can_be_disabled():
-    prob = decay_problem()
-    cfg = VerifierConfig(validate=False)
-    result = SOSVerifier(prob, [], config=cfg).verify(radial_barrier(2))
-    assert result.ok
-    assert all("skipped" in c.message for c in result.conditions if c.feasible)
-
-
 def test_multiplier_degree_floor():
     prob = decay_problem()
     cfg = VerifierConfig(multiplier_degree=2)
