@@ -517,6 +517,23 @@ def test_report_cli_missing_trace(tmp_path, capsys):
     assert "cannot read trace" in capsys.readouterr().err
 
 
+def test_report_cli_all_malformed(tmp_path, capsys):
+    base = str(tmp_path / "junk")
+    with open(base + ".jsonl", "w") as fh:
+        fh.write("not json at all\n{still: not json\n")
+    assert cli_main(["report", base]) == 1
+    assert "malformed" in capsys.readouterr().err
+
+
+def test_report_cli_truncated_line_warns(tmp_path, capsys):
+    base = _write_run_family(tmp_path, "trunc")
+    with open(base + ".jsonl", "a") as fh:
+        fh.write('{"type": "cegis.iter')  # crash mid-write
+    assert cli_main(["report", base]) == 0
+    err = capsys.readouterr().err
+    assert "skipped 1 malformed line" in err
+
+
 def test_report_cli_missing_manifest_warns(tmp_path, capsys):
     import os
 
