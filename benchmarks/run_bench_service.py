@@ -58,15 +58,13 @@ def corrupt_cache_entry(root: str, request) -> str:
     that computes the honest entry lives in a temporary root."""
     with tempfile.TemporaryDirectory() as seed_root:
         run_service(seed_root, [request], ServiceConfig(workers=0))
-        donor = CertificateCache(os.path.join(seed_root, "cache"),
-                                 verify_on_read=False)
+        donor = CertificateCache(os.path.join(seed_root, "cache"))
         payload = donor.get(request)
     assert payload and payload.get("bundle"), "seed run produced no bundle"
     bundle = bundle_from_dict(payload["bundle"])
     bundle.conditions[0].margin = float(bundle.conditions[0].margin) + 10.0
     payload["bundle"] = bundle_to_dict(bundle)
-    target = CertificateCache(os.path.join(root, "cache"),
-                              verify_on_read=False)
+    target = CertificateCache(os.path.join(root, "cache"))
     return target.put(request, payload)
 
 

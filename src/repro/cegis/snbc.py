@@ -24,12 +24,7 @@ from repro.resilience import (
     save_checkpoint,
 )
 from repro.sets import Ball, Box
-from repro.soundness import (
-    SoundnessConfig,
-    SoundnessError,
-    SoundnessReport,
-    check_verification,
-)
+from repro.soundness import SoundnessError, SoundnessReport, check_verification
 from repro.telemetry import Telemetry, get_telemetry
 from repro.verifier import SOSVerifier, VerificationResult, VerifierConfig
 
@@ -111,6 +106,12 @@ class CexRecord:
         return dataclasses.asdict(self)
 
 
+#: on :class:`LearnerDivergence`, the learner is rolled back to its
+#: pre-``fit`` state and retried with extra samples this many times
+#: before the failure surfaces as ``outcome == "error"``
+LEARNER_RECOVERY_ATTEMPTS = 2
+
+
 @dataclass
 class SNBCConfig:
     """Configuration of the SNBC loop."""
@@ -121,8 +122,6 @@ class SNBCConfig:
     inclusion_spacing: float = 0.1
     inclusion_max_mesh: int = 20_000
     inclusion_error_mode: str = "lipschitz"
-    first_epochs: Optional[int] = None  # defaults to learner.epochs
-    retrain_epochs: Optional[int] = None  # defaults to learner.epochs // 2
     #: flag a stall when the worst counterexample violation has not
     #: decreased across this many consecutive failed rounds
     stall_window: int = 3
@@ -135,19 +134,12 @@ class SNBCConfig:
     #: write a resumable checkpoint here after each failed iteration;
     #: ``SNBC.run(resume_from=...)`` continues bit-identically from it
     checkpoint_path: Optional[str] = None
-    checkpoint_every: int = 1
-    #: on :class:`LearnerDivergence`, roll the learner back to its
-    #: pre-``fit`` state and retry with extra samples this many times
-    #: before surfacing the failure as ``outcome == "error"``
-    learner_recovery_attempts: int = 2
     #: re-prove every accepted certificate's Putinar identities over ℚ
     #: (:mod:`repro.soundness.checker`); a rejected recheck turns the run
     #: into ``outcome == "error"`` with a :class:`SoundnessError` — the
     #: loop never reports ``success`` on a certificate the exact checker
     #: refused
     soundness_check: bool = True
-    #: overrides for the exact checker (shift ladder, quantization)
-    soundness_config: Optional[SoundnessConfig] = None
 
 
 @dataclass
@@ -227,7 +219,9 @@ class SNBC:
             # sub-problem quadratic — decisive for high dimensions
             lam_deg = 0 if self.learner_config.lambda_hidden is None else 1
             verifier_config = VerifierConfig(lambda_degree=lam_deg)
-        self.verifier_config = verifier_config
+        # a copy: the run caps ``sdp_options.time_limit_s`` at its
+        # remaining budget, which must not leak into the caller's object
+        self.verifier_config = dataclasses.replace(verifier_config)
         self.cex_config = cex_config or CexConfig(seed=self.config.seed)
         self._telemetry = telemetry
         # One deterministic generator chain: `config.seed` spawns
@@ -451,10 +445,8 @@ class SNBC:
                 rng=self._cex_rng,
             )
 
-            first_epochs = cfg.first_epochs or self.learner_config.epochs
-            retrain_epochs = (
-                cfg.retrain_epochs or max(1, self.learner_config.epochs // 2)
-            )
+            first_epochs = self.learner_config.epochs
+            retrain_epochs = max(1, first_epochs // 2)
 
             for iteration in range(start_iteration, cfg.max_iterations + 1):
                 iterations_run = iteration
@@ -633,10 +625,7 @@ class SNBC:
                 )
                 history.append(record)
                 tel.event("cegis.iteration", **record.to_dict())
-                if (
-                    cfg.checkpoint_path
-                    and iteration % max(1, cfg.checkpoint_every) == 0
-                ):
+                if cfg.checkpoint_path:
                     self._write_checkpoint(
                         cfg.checkpoint_path,
                         iteration,
@@ -717,14 +706,11 @@ class SNBC:
         verdict (including ``ok == False``) is the caller's to act on.
         The recheck's wall-clock lands in the report, not in
         :class:`PhaseTimings` — it is not one of the paper's phases."""
-        cfg = self.config
-        if not cfg.soundness_check:
+        if not self.config.soundness_check:
             return None
         tel = self.telemetry
         with tel.span("snbc.soundness", phase="soundness") as sp:
-            report = check_verification(
-                self.problem, verification, config=cfg.soundness_config
-            )
+            report = check_verification(self.problem, verification)
             if report is None:
                 sp.set_attr("skipped", "no certificate captured")
                 return None
@@ -780,7 +766,7 @@ class SNBC:
                     attempt=attempt,
                     **exc.to_dict(),
                 )
-                if attempt > cfg.learner_recovery_attempts:
+                if attempt > LEARNER_RECOVERY_ATTEMPTS:
                     raise
                 learner.restore(pre_fit)
                 extra = TrainingData.sample(

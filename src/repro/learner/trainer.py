@@ -43,7 +43,6 @@ class LearnerConfig:
     #: hinge (satisfied samples contribute no gradient, like the paper's
     #: max); small positive values smooth it but reward margin inflation.
     negative_slope: float = 0.0
-    loss_tolerance: float = -1.0  # stop early when total loss drops below
     b_architecture: str = "quadratic"  # or "square" (ablation)
     paper_printed_form: bool = False
     #: initialize B as a Lyapunov-shaped quadratic ``c - x^T P x`` when the
@@ -124,7 +123,6 @@ class BarrierLearner:
             "learner.fit", epochs=max_epochs, n_domain=len(data.s_domain)
         ) as span:
             epochs_run = 0
-            converged = False
             tape: Optional[Tape] = None
             components: dict = {}
             loss = None
@@ -199,16 +197,10 @@ class BarrierLearner:
                 epochs_run += 1
                 last = terms
                 self.loss_history.append(terms)
-                if terms.total < cfg.loss_tolerance:
-                    converged = True
-                    break
             tel.metrics.inc("learner.epochs", epochs_run)
-            if converged:
-                tel.metrics.observe("learner.epochs_to_converge", epochs_run)
             assert last is not None
             span.set_attrs(
                 epochs_run=epochs_run,
-                converged=converged,
                 final_loss=last.total,
                 replays=tape.replays if tape is not None else 0,
                 replays_skipped=tape.replays_skipped if tape is not None else 0,

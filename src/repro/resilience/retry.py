@@ -65,8 +65,6 @@ class RetryPolicy:
     #: jitter amplitude as a fraction of the raw delay (0 disables);
     #: delay is scaled by a deterministic factor in ``1 ± jitter``
     jitter: float = 0.25
-    transient_kinds: Tuple[str, ...] = TRANSIENT_KINDS
-    terminal_kinds: Tuple[str, ...] = TERMINAL_KINDS
 
     # -- classification -------------------------------------------------
     def classify_kind(self, kind: Optional[str]) -> str:
@@ -75,7 +73,7 @@ class RetryPolicy:
         Unknown kinds (including plain exception class names) are
         terminal: an unclassified failure is assumed deterministic.
         """
-        if kind in self.transient_kinds:
+        if kind in TRANSIENT_KINDS:
             return TRANSIENT
         return TERMINAL
 

@@ -40,7 +40,7 @@ Each iteration first checks its iterate, in this order:
 - a dual Farkas ray, ``b^T y > 0`` and ``A^T y <= tolerance *
   ||A^T y||_F * I`` on every block (a Cholesky per block decides it):
   ``PRIMAL_INFEASIBLE``, with ``y`` as the certificate;
-- the primal objective below ``-infeasibility_threshold * (1 + |b|)``
+- the primal objective below ``-INFEASIBILITY_THRESHOLD * (1 + |b|)``
   with a primal residual below ``1e-4``: ``DUAL_INFEASIBLE``.
 
 The ray test only reads the iterate, so a solve it does not stop
@@ -80,6 +80,13 @@ from repro.telemetry import get_telemetry
 
 logger = logging.getLogger(__name__)
 
+#: fraction-to-boundary factor keeping iterates strictly interior
+STEP_FRACTION = 0.98
+#: primal objective magnitude (relative to ``1 + |b|``) beyond which the
+#: dual is declared infeasible; primal infeasibility is decided by a
+#: checked dual ray instead (see ``_IPMState._dual_ray``)
+INFEASIBILITY_THRESHOLD = 1e8
+
 
 @dataclass
 class InteriorPointOptions:
@@ -87,24 +94,12 @@ class InteriorPointOptions:
 
     max_iterations: int = 100
     tolerance: float = 1e-8
-    #: fraction-to-boundary factor keeping iterates strictly interior
-    step_fraction: float = 0.98
-    #: primal objective magnitude (relative to ``1 + |b|``) beyond which
-    #: the dual is declared infeasible; primal infeasibility is decided
-    #: by a checked dual ray instead (see ``_IPMState._dual_ray``)
-    infeasibility_threshold: float = 1e8
     #: initial scaling floor for X and Z
     init_scale: float = 10.0
-    #: log per-iteration progress at INFO instead of DEBUG
-    verbose: bool = False
     #: wall-clock cap on the iteration loop; ``None`` disarms.  Checked
     #: once per IPM iteration, so one iteration may overshoot — the cap
     #: is cooperative, like the pipeline-level ``TimeBudget``
     time_limit_s: Optional[float] = None
-    #: ring-buffer capacity for per-iteration trace records (the most
-    #: recent window is kept; recording is always on — it is noise-level
-    #: next to the per-iteration dense factorizations)
-    trace_capacity: int = DEFAULT_TRACE_CAPACITY
     #: interior push applied to a warm-start point, as a fraction of the
     #: cold-start scales ``xi``/``eta``: ``X0 = X_prev + push*xi*I``.
     #: Small values trust the previous iterate more (fewer iterations on
@@ -525,7 +520,10 @@ class _IPMState:
         self.prim_res = np.inf
         self.dual_res = np.inf
         self.t_start = time.perf_counter()
-        self.trace = IPMTrace(capacity=opts.trace_capacity)
+        # the most recent DEFAULT_TRACE_CAPACITY iterations are kept;
+        # recording is always on — it is noise-level next to the
+        # per-iteration dense factorizations
+        self.trace = IPMTrace(capacity=DEFAULT_TRACE_CAPACITY)
         self.finished = False
         self.tel = get_telemetry()
         # per-iteration scratch
@@ -588,8 +586,7 @@ class _IPMState:
             dual_objective=float(dobj),
         )
 
-        logger.log(
-            logging.INFO if opts.verbose else logging.DEBUG,
+        logger.debug(
             "ipm it=%3d mu=%9.2e gap=%9.2e pres=%9.2e dres=%9.2e pobj=%+.6e",
             self.iteration, mu, self.rel_gap, self.prim_res, self.dual_res,
             pobj,
@@ -613,7 +610,7 @@ class _IPMState:
             )
             return False
         if (
-            pobj < -opts.infeasibility_threshold * (1.0 + self.norm_b)
+            pobj < -INFEASIBILITY_THRESHOLD * (1.0 + self.norm_b)
             and self.prim_res < 1e-4
         ):
             self._stop(
@@ -827,8 +824,8 @@ class _IPMState:
                 )
                 return
             t_ls = time.perf_counter()
-            ap_aff = min(1.0, opts.step_fraction * self._max_step("X", dX_aff))
-            ad_aff = min(1.0, opts.step_fraction * self._max_step("Z", dZ_aff))
+            ap_aff = min(1.0, STEP_FRACTION * self._max_step("X", dX_aff))
+            ad_aff = min(1.0, STEP_FRACTION * self._max_step("Z", dZ_aff))
             rec["t_line_search"] = time.perf_counter() - t_ls
             gap_now = self._inner(self.X, self.Z)
             gap_aff = self._inner(
@@ -856,8 +853,8 @@ class _IPMState:
                 )
                 return
             t_ls = time.perf_counter()
-            ap = min(1.0, opts.step_fraction * self._max_step("X", dX))
-            ad = min(1.0, opts.step_fraction * self._max_step("Z", dZ))
+            ap = min(1.0, STEP_FRACTION * self._max_step("X", dX))
+            ad = min(1.0, STEP_FRACTION * self._max_step("Z", dZ))
             rec["t_line_search"] += time.perf_counter() - t_ls
             if fired("sdp.ipm.step"):
                 ap = ad = 0.0

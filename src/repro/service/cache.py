@@ -11,7 +11,7 @@ cheapest first:
    renamed or cross-wired between keys is rejected);
 2. **Digest**: the payload's canonical-JSON sha256 must equal the
    recorded ``payload_sha256`` (bit rot, torn writes, truncation);
-3. **Exact recheck**: when the payload carries a
+3. **Exact recheck**: whenever the payload carries a
    :class:`CertificateBundle`, it is deserialized and re-proven over ℚ
    with :func:`repro.soundness.check_certificate` against the problem
    rebuilt from the request manifest — a corrupted-but-self-consistent
@@ -58,15 +58,8 @@ def payload_digest(payload: Dict[str, Any]) -> str:
 class CertificateCache:
     """Content-addressed result store for one service root."""
 
-    def __init__(
-        self,
-        root: str,
-        verify_on_read: bool = True,
-        max_denominator: Optional[int] = None,
-    ) -> None:
+    def __init__(self, root: str) -> None:
         self.root = str(root)
-        self.verify_on_read = bool(verify_on_read)
-        self.max_denominator = max_denominator
         os.makedirs(self.root, exist_ok=True)
         #: integrity failures seen by this handle, newest last:
         #: ``(key, layer, message)`` — surfaced in service results
@@ -169,7 +162,7 @@ class CertificateCache:
             )
             raise CacheEntryError("digest mismatch")
         # layer 3: exact recheck of the stored certificate
-        if self.verify_on_read and payload.get("bundle") is not None:
+        if payload.get("bundle") is not None:
             self._recheck_bundle(request, key, payload)
         return payload
 
@@ -177,11 +170,7 @@ class CertificateCache:
         self, request: CertificationRequest, key: str, payload: Dict[str, Any]
     ) -> None:
         from repro.service.jobs import problem_for
-        from repro.soundness import (
-            SoundnessConfig,
-            bundle_from_dict,
-            check_certificate,
-        )
+        from repro.soundness import bundle_from_dict, check_certificate
 
         problem = problem_for(request)
         if problem is None:
@@ -202,13 +191,8 @@ class CertificateCache:
             bundle.conditions[0].margin = (
                 float(bundle.conditions[0].margin) + 10.0
             )
-        config = (
-            SoundnessConfig(max_denominator=self.max_denominator)
-            if self.max_denominator is not None
-            else None
-        )
         try:
-            report = check_certificate(problem, bundle, config)
+            report = check_certificate(problem, bundle)
         except Exception as exc:
             self.evict(key, "recheck", f"recheck raised: {exc}")
             raise CacheEntryError(str(exc))

@@ -60,8 +60,6 @@ def _config_from_args(args: argparse.Namespace) -> ServiceConfig:
         max_redeliveries=args.max_redeliveries,
         worker_stall_timeout_s=args.stall_timeout_s,
         job_deadline_s=args.job_deadline_s,
-        serial_fallback=not args.no_serial_fallback,
-        verify_cache_on_read=not args.no_verify_cache,
         worker_faults=tuple(worker_faults),
     )
 
@@ -96,7 +94,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     state = replay_journal(f"{args.root}/journal.jsonl")
     from repro.service.cache import CertificateCache
 
-    cache = CertificateCache(f"{args.root}/cache", verify_on_read=False)
+    cache = CertificateCache(f"{args.root}/cache")
     doc: Dict[str, Any] = {
         "root": args.root,
         "journal_records": state.records,
@@ -132,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-redeliveries", type=int, default=2)
         p.add_argument("--stall-timeout-s", type=float, default=60.0)
         p.add_argument("--job-deadline-s", type=float, default=None)
-        p.add_argument("--no-serial-fallback", action="store_true")
-        p.add_argument("--no-verify-cache", action="store_true",
-                       help="skip the exact recheck on cache reads")
         p.add_argument("--worker-fault", action="append", metavar="SITE[:N]",
                        help="arm a worker fault site (chaos testing)")
 

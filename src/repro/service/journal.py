@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.resilience.faults import fired
+from repro.utils.fileio import create_temp_file
 
 JOURNAL_KIND = "service_journal"
 JOURNAL_SCHEMA_VERSION = 1
@@ -220,9 +220,8 @@ class JobJournal:
         self._fh.flush()
         state = state or replay_journal(self.path)
         directory = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp = tempfile.mkstemp(
-            dir=directory, prefix=os.path.basename(self.path) + ".",
-            suffix=".tmp",
+        fd, tmp = create_temp_file(
+            directory, os.path.basename(self.path) + "."
         )
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             for key, job in sorted(state.jobs.items()):

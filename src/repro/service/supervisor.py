@@ -23,8 +23,8 @@ and drives every submitted request to a terminal state:
   is killed and respawned and its job requeued (``redeliver``), at most
   ``max_redeliveries`` times before the job dead-letters;
 * **graceful degradation** — when the pool cannot be (re)built, the
-  supervisor falls back to serial in-process execution of the same
-  queue (same journal, cache, and retry policy);
+  supervisor always falls back to serial in-process execution of the
+  same queue (same journal, cache, and retry policy);
 * **crash-safe restart** — :meth:`recover` replays the journal:
   completed jobs are served from the verified cache (and **re-executed
   only if** their cache entry is gone or fails verification), everything
@@ -45,7 +45,7 @@ import asyncio
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.resilience.errors import BudgetExhausted, WorkerCrash
@@ -61,13 +61,20 @@ from repro.telemetry import get_telemetry
 from repro.telemetry.status import StatusWriter
 
 
+#: the one retry/backoff policy of every service run
+RETRY_POLICY = RetryPolicy()
+#: supervisor loop sleep when a pass made no progress
+TICK_S = 0.02
+#: the worker slot that receives ``ServiceConfig.worker_faults``
+WORKER_FAULT_SLOT = 0
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Supervision policy for one service run."""
 
     #: process workers; 0 selects serial in-process execution outright
     workers: int = 2
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: worker deaths/stalls one job survives before dead-lettering
     max_redeliveries: int = 2
     #: heartbeat age after which a job-holding worker is presumed wedged
@@ -79,21 +86,12 @@ class ServiceConfig:
     #: certify jobs should prefer their internal ``time_budget_s``,
     #: which ends in a clean ``timeout`` payload instead
     job_deadline_s: Optional[float] = None
-    tick_s: float = 0.02
-    heartbeat_interval_s: float = 0.5
-    serial_fallback: bool = True
-    verify_cache_on_read: bool = True
-    cache_max_denominator: Optional[int] = None
-    #: serialized FaultSpec dicts armed inside workers (chaos testing)
+    #: serialized FaultSpec dicts armed inside the worker of
+    #: ``WORKER_FAULT_SLOT`` (chaos testing)
     worker_faults: Tuple[Dict[str, Any], ...] = ()
-    #: worker slots that receive ``worker_faults`` (initial spawn only
-    #: when ``worker_faults_once`` — a respawned worker starts clean, so
-    #: an injected kill cannot loop forever)
-    worker_fault_slots: Tuple[int, ...] = (0,)
+    #: arm ``worker_faults`` at the initial spawn only — a respawned
+    #: worker starts clean, so an injected kill cannot loop forever
     worker_faults_once: bool = True
-    #: multiprocessing start method (None = platform default)
-    mp_start_method: Optional[str] = None
-    compact_journal_on_finish: bool = True
 
 
 class _WorkerHandle:
@@ -121,11 +119,7 @@ class CertificationService:
         self.workdir = os.path.join(self.root, "work")
         os.makedirs(self.workdir, exist_ok=True)
         self.journal = JobJournal(os.path.join(self.root, "journal.jsonl"))
-        self.cache = CertificateCache(
-            os.path.join(self.root, "cache"),
-            verify_on_read=self.config.verify_cache_on_read,
-            max_denominator=self.config.cache_max_denominator,
-        )
+        self.cache = CertificateCache(os.path.join(self.root, "cache"))
         self.queue = JobQueue()
         self.status = StatusWriter(
             os.path.join(self.root, "service.status.json"),
@@ -145,11 +139,6 @@ class CertificationService:
         self._workers: Dict[int, _WorkerHandle] = {}
         self._serial_mode = self.config.workers <= 0
         self._fault_generation = 0
-        self._mp = (
-            multiprocessing.get_context(self.config.mp_start_method)
-            if self.config.mp_start_method
-            else multiprocessing.get_context()
-        )
 
     # -- intake ---------------------------------------------------------
     def submit(
@@ -220,19 +209,18 @@ class CertificationService:
         specs: List[Dict[str, Any]] = []
         if (
             self.config.worker_faults
-            and slot in self.config.worker_fault_slots
+            and slot == WORKER_FAULT_SLOT
             and not (self.config.worker_faults_once
                      and self._fault_generation > 0)
         ):
             specs = [dict(s) for s in self.config.worker_faults]
-        parent_conn, child_conn = self._mp.Pipe()
+        parent_conn, child_conn = multiprocessing.Pipe()
         heartbeat_path = os.path.join(
             self.root, f"worker-{slot}.status.json"
         )
-        proc = self._mp.Process(
+        proc = multiprocessing.Process(
             target=worker_main,
-            args=(slot, child_conn, heartbeat_path, self.workdir, specs,
-                  self.config.heartbeat_interval_s),
+            args=(slot, child_conn, heartbeat_path, self.workdir, specs),
             daemon=True,
             name=f"repro-service-worker-{slot}",
         )
@@ -251,7 +239,7 @@ class CertificationService:
             if handle is not None:
                 self._workers[slot] = handle
         self._fault_generation += 1
-        if not self._workers and self.config.serial_fallback:
+        if not self._workers:
             self.counts["serial_fallbacks"] += 1
             self._serial_mode = True
 
@@ -266,7 +254,7 @@ class CertificationService:
             get_telemetry().metrics.inc("service.workers.respawned")
             return
         self._workers.pop(slot, None)
-        if not self._workers and self.config.serial_fallback:
+        if not self._workers:
             # the pool is gone and cannot come back: degrade, don't hang
             self.counts["serial_fallbacks"] += 1
             self._serial_mode = True
@@ -292,9 +280,8 @@ class CertificationService:
     # -- failure handling ------------------------------------------------
     def _fail_job(self, job: Job, error: Dict[str, Any]) -> None:
         """Route a classified failure through the retry policy."""
-        policy = self.config.retry
-        if policy.should_retry_kind(error.get("kind"), job.attempts):
-            delay = policy.delay_s(job.attempts, token=job.key)
+        if RETRY_POLICY.should_retry_kind(error.get("kind"), job.attempts):
+            delay = RETRY_POLICY.delay_s(job.attempts, token=job.key)
             self.counts["retries"] += 1
             get_telemetry().metrics.inc("service.retries")
             self.journal.append(
@@ -325,7 +312,7 @@ class CertificationService:
             return
         self.counts["redeliveries"] += 1
         get_telemetry().metrics.inc("service.redeliveries")
-        delay = self.config.retry.delay_s(
+        delay = RETRY_POLICY.delay_s(
             job.redeliveries + 1, token=job.key
         )
         self.journal.append(
@@ -528,29 +515,16 @@ class CertificationService:
                     progressed |= self._dispatch()
                 if self._serial_mode:
                     progressed |= self._run_one_serial()
-                elif not self._workers:
-                    # no pool and no serial fallback permitted: the
-                    # remaining jobs can never run — dead-letter them
-                    for job in list(self.queue.jobs.values()):
-                        if not job.terminal:
-                            self._dead_letter(
-                                job,
-                                WorkerCrash(
-                                    "worker pool unavailable and serial "
-                                    "fallback disabled",
-                                ).to_dict(),
-                            )
                 self._update_status()
                 if not progressed:
-                    await asyncio.sleep(self.config.tick_s)
+                    await asyncio.sleep(TICK_S)
         finally:
             self._stop_pool()
             self.journal.sync()
-            if self.config.compact_journal_on_finish:
-                try:
-                    self.journal.compact()
-                except OSError:
-                    pass
+            try:
+                self.journal.compact()
+            except OSError:
+                pass
             outcome = (
                 "success"
                 if all(

@@ -10,7 +10,7 @@ the supervisor).
 
 Liveness is a file, not a message: a daemon thread rewrites the
 worker's ``worker-<id>.status.json`` (the PR 7 :class:`StatusWriter`)
-every ``heartbeat_interval_s`` even while a job blocks the main loop,
+every ``HEARTBEAT_INTERVAL_S`` seconds even while a job blocks the main loop,
 so the supervisor — and ``python -m repro.telemetry tail --fleet`` —
 can classify a wedged worker as STALLED/DEAD from heartbeat age alone.
 
@@ -56,6 +56,10 @@ def install_fault_specs(specs: List[Dict[str, Any]]) -> None:
         )
     # direct install: the worker owns its whole lifetime, no nesting
     faults._plan = plan
+
+
+#: seconds between a worker's heartbeat writes
+HEARTBEAT_INTERVAL_S = 0.5
 
 
 def error_payload(exc: BaseException) -> Dict[str, Any]:
@@ -115,7 +119,6 @@ def worker_main(
     heartbeat_path: str,
     workdir: Optional[str] = None,
     fault_specs: Optional[List[Dict[str, Any]]] = None,
-    heartbeat_interval_s: float = 0.5,
 ) -> None:
     """Entry point of one pool worker (runs until ``stop`` or death)."""
     install_fault_specs(fault_specs or [])
@@ -125,7 +128,7 @@ def worker_main(
     lock = threading.Lock()
     with lock:
         status.update(force=True, phase="idle", worker_id=worker_id)
-    beat = _Heartbeat(status, lock, heartbeat_interval_s)
+    beat = _Heartbeat(status, lock, HEARTBEAT_INTERVAL_S)
     beat.start()
     try:
         while True:

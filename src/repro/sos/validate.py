@@ -25,6 +25,9 @@ from repro.poly import Polynomial, abs_bound_on_box
 from repro.poly.monomials import add_exponents
 from repro.sos.program import GramBlock
 
+#: eigenvalue slack below zero tolerated for every Gram matrix
+PSD_TOLERANCE = 1e-6
+
 
 @dataclass
 class ValidationReport:
@@ -57,7 +60,6 @@ def validate_sos_identity(
     domain_lo: Sequence[float],
     domain_hi: Sequence[float],
     margin: float,
-    psd_tolerance: float = 1e-7,
     extra_grams: Optional[List[np.ndarray]] = None,
 ) -> ValidationReport:
     """Validate that ``expr_poly`` is (numerically) SOS on the given box.
@@ -75,8 +77,6 @@ def validate_sos_identity(
         Strictness margin available to absorb the residual (e.g. the
         ``epsilon`` subtracted in the constraint).  Must be positive for a
         strict condition; 0 accepts only near-exact identities.
-    psd_tolerance:
-        Eigenvalue slack below zero tolerated for Gram matrices.
     extra_grams:
         Gram matrices of SOS multiplier variables, also checked for PSD-ness.
     """
@@ -99,9 +99,9 @@ def validate_sos_identity(
             )
         res_bound += abs(min_eig) * abs_bound_on_box(basis_sq, domain_lo, domain_hi)
 
-    ok = min_eig >= -psd_tolerance and res_bound <= max(margin, 0.0) + 1e-12
+    ok = min_eig >= -PSD_TOLERANCE and res_bound <= max(margin, 0.0) + 1e-12
     notes = ""
-    if min_eig < -psd_tolerance:
+    if min_eig < -PSD_TOLERANCE:
         notes = f"Gram matrix not PSD (min eig {min_eig:.3e})"
     elif res_bound > margin:
         notes = f"residual bound {res_bound:.3e} exceeds margin {margin:.3e}"

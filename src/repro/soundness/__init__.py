@@ -16,7 +16,6 @@ from repro.soundness.certificate import (
 from repro.soundness.checker import (
     SOUNDNESS_SCHEMA_VERSION,
     ConditionSoundness,
-    SoundnessConfig,
     SoundnessError,
     SoundnessReport,
     barrier_fingerprint,
@@ -47,7 +46,6 @@ __all__ = [
     "MultiplierCertificate",
     "SOUNDNESS_SCHEMA_VERSION",
     "ConditionSoundness",
-    "SoundnessConfig",
     "SoundnessError",
     "SoundnessReport",
     "barrier_fingerprint",

@@ -71,19 +71,14 @@ class SoundnessError(ReproError):
     default_phase = "soundness"
 
 
-@dataclass
-class SoundnessConfig:
-    """Knobs of the exact checker."""
-
-    #: quantize Gram entries via ``Fraction.limit_denominator`` before
-    #: absorption.  This bounds the multiplier Grams' entries; the
-    #: absorbed slack Gram carries wide residual shares either way.
-    #: Quantization error is absorbed into the slack residual, so the
-    #: final identity stays exact.  ``None``: fully exact embedding.
-    max_denominator: Optional[int] = 2 ** 40
-    #: dyadic diagonal shifts tried (smallest first) to restore exact
-    #: PSD-ness; each accepted shift is charged against the margin
-    delta_ladder: Tuple[Fraction, ...] = DEFAULT_DELTA_LADDER
+#: Gram entries are quantized via ``Fraction.limit_denominator`` to this
+#: bound before absorption.  This bounds the multiplier Grams' entries;
+#: the absorbed slack Gram carries wide residual shares either way.
+#: Quantization error is absorbed into the slack residual, so the final
+#: identity stays exact.  Diagonal shifts restoring exact PSD-ness are
+#: tried from ``DEFAULT_DELTA_LADDER`` (smallest first), each charged
+#: against the margin.
+MAX_DENOMINATOR = 2 ** 40
 
 
 @dataclass
@@ -251,7 +246,6 @@ def _check_condition(
     cert: ConditionCertificate,
     target: RationalPolynomial,
     rat_barrier: RationalPolynomial,
-    config: SoundnessConfig,
 ) -> ConditionSoundness:
     """Run steps 2-4 of the module docstring for one condition."""
     t0 = time.perf_counter()
@@ -290,8 +284,8 @@ def _check_condition(
     consumed: List[Tuple[RationalPolynomial, RationalPolynomial]] = []
     multiplier_shifts: List[float] = []
     for mc in cert.multipliers:
-        Qm = rationalize_matrix(mc.gram, config.max_denominator)
-        delta_m = find_psd_shift(Qm, config.delta_ladder)
+        Qm = rationalize_matrix(mc.gram, MAX_DENOMINATOR)
+        delta_m = find_psd_shift(Qm, DEFAULT_DELTA_LADDER)
         if delta_m is None:
             return fail(
                 f"multiplier Gram for constraint {mc.constraint} cannot be "
@@ -311,7 +305,7 @@ def _check_condition(
         t = t - lam * rat_barrier
 
     # embed the slack Gram and absorb the coefficient residual exactly
-    Qs = rationalize_matrix(cert.slack_gram, config.max_denominator)
+    Qs = rationalize_matrix(cert.slack_gram, MAX_DENOMINATOR)
     realized = gram_polynomial(cert.slack_basis, Qs, n_vars)
     residual = t - realized
     n_absorbed, max_abs, absorb_err = _absorb_residual(
@@ -339,7 +333,7 @@ def _check_condition(
         )
 
     # exact PSD certification of the absorbed slack Gram
-    delta_s = find_psd_shift(Qs, config.delta_ladder)
+    delta_s = find_psd_shift(Qs, DEFAULT_DELTA_LADDER)
     if delta_s is None:
         return fail(
             "slack Gram is not PSD within the shift ladder "
@@ -385,11 +379,7 @@ def _check_condition(
     )
 
 
-def check_certificate(
-    problem,
-    bundle: CertificateBundle,
-    config: Optional[SoundnessConfig] = None,
-) -> SoundnessReport:
+def check_certificate(problem, bundle: CertificateBundle) -> SoundnessReport:
     """Exact recheck of every condition in a captured certificate bundle.
 
     ``problem`` is the CCDS the certificate was produced for (duck-typed
@@ -397,7 +387,6 @@ def check_certificate(
     ℚ).  Pure function: no telemetry, no float tolerance anywhere past
     the lossless ``Fraction(float)`` embeddings.
     """
-    config = config or SoundnessConfig()
     t0 = time.perf_counter()
     rat_barrier = RationalPolynomial.from_polynomial(bundle.barrier)
     conditions: List[ConditionSoundness] = []
@@ -414,7 +403,7 @@ def check_certificate(
         else:
             raise ValueError(f"unknown condition base {cert.base!r}")
         conditions.append(
-            _check_condition(cert, target, rat_barrier, config)
+            _check_condition(cert, target, rat_barrier)
         )
     return SoundnessReport(
         ok=all(c.ok for c in conditions) and bool(conditions),
@@ -422,20 +411,16 @@ def check_certificate(
         barrier_scale=float(bundle.barrier_scale),
         barrier_hash=barrier_fingerprint(bundle.barrier),
         n_vars=int(bundle.barrier.n_vars),
-        max_denominator=config.max_denominator,
+        max_denominator=MAX_DENOMINATOR,
         elapsed_seconds=time.perf_counter() - t0,
     )
 
 
-def check_verification(
-    problem,
-    verification,
-    config: Optional[SoundnessConfig] = None,
-) -> Optional[SoundnessReport]:
+def check_verification(problem, verification) -> Optional[SoundnessReport]:
     """Convenience wrapper: recheck a :class:`VerificationResult` that
     carries a certificate bundle; ``None`` when it carries none (the
     verification failed)."""
     bundle = getattr(verification, "certificate", None)
     if bundle is None:
         return None
-    return check_certificate(problem, bundle, config=config)
+    return check_certificate(problem, bundle)

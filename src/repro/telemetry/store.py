@@ -197,8 +197,10 @@ def _convergence_histogram(events: Sequence[Dict[str, Any]],
 def load_run(trace_path: str, root: Optional[str] = None) -> Optional[RunRecord]:
     """Index one trace (plus its sibling manifest/audit) into a record.
 
-    Returns ``None`` when the trace is unreadable or contains no valid
-    JSON lines at all (e.g. a stray non-trace ``.jsonl``).
+    Returns ``None`` when the trace is unreadable, contains no valid
+    JSON lines at all, or is not a run trace: a ``.jsonl`` with neither a
+    manifest sibling nor a span/event record (``"type"`` key), such as a
+    service jobs file or journal.
     """
     family = run_family(trace_path)
     try:
@@ -206,6 +208,10 @@ def load_run(trace_path: str, root: Optional[str] = None) -> Optional[RunRecord]
     except OSError:
         return None
     if not events and skipped:
+        return None
+    if family.manifest is None and not any(
+        isinstance(e, dict) and isinstance(e.get("type"), str) for e in events
+    ):
         return None
 
     base = family.base
@@ -260,7 +266,7 @@ def load_run(trace_path: str, root: Optional[str] = None) -> Optional[RunRecord]
 
 
 def scan_runs(root: str) -> List[RunRecord]:
-    """Walk ``root`` and index every ``*.jsonl`` trace found.
+    """Walk ``root`` and index every run trace (``*.jsonl``) found.
 
     Sorted by relative base path, so the result (and everything derived
     from it) is independent of filesystem iteration order.

@@ -79,15 +79,9 @@ class VerifierConfig:
     eps_init: float = 1e-4
     eps_unsafe: float = 1e-4
     eps_lie: float = 1e-4
-    psd_tolerance: float = 1e-6
     sdp_options: InteriorPointOptions = field(
         default_factory=lambda: InteriorPointOptions(max_iterations=100, tolerance=1e-8)
     )
-    #: reuse the structural SOS workspace (monomial bases, Gram block
-    #: layout, multiplier constraint rows) across CEGIS iterations; per
-    #: candidate only the affine data is refreshed.  Result-identical to
-    #: a fresh :class:`SOSProgram` build (see ``repro.sos.workspace``).
-    workspace_cache: bool = True
     #: SDP recovery ladder engaged when a condition solve ends in
     #: ``NUMERICAL_ERROR``/``MAX_ITERATIONS`` (see
     #: :mod:`repro.resilience.recovery`).  Healthy solves are untouched,
@@ -253,7 +247,10 @@ class SOSVerifier:
         ws_key: Optional[str] = None,
     ) -> _PreparedCondition:
         """Build the SDP for ``expr - sum sigma_i g_i - margin (+ lambda *
-        B) in SOS``, through the cached workspace when enabled.
+        B) in SOS`` through the cached structural workspace (monomial
+        bases, Gram block layout, multiplier constraint rows): per
+        candidate only the affine data is refreshed, with the same result
+        as a fresh :class:`SOSProgram` build (see ``repro.sos.workspace``).
 
         ``ws_key`` scopes the workspace cache: cells of a decomposed
         region carry different constraint polynomials, so each cell gets
@@ -271,44 +268,24 @@ class SOSVerifier:
         mult_degs = [
             self._multiplier_degree(target_deg, g) for g in region.constraints
         ]
-        if cfg.workspace_cache:
-            lam_deg = cfg.lambda_degree if free_lambda_times is not None else None
-            cache_key = ws_key if ws_key is not None else base
-            ws = self._workspaces.get(cache_key)
-            if ws is None or not ws.matches(mult_degs, lam_deg):
-                ws = ConditionWorkspace(n, region.constraints, mult_degs, lam_deg)
-                self._workspaces[cache_key] = ws
-                tel.metrics.inc("verifier.workspace.misses")
-            else:
-                tel.metrics.inc("verifier.workspace.hits")
-            varying = SOSExpr.from_polynomial(expr_known - margin)
-            if ws.lam_expr is not None:
-                varying = varying - ws.lam_expr * free_lambda_times
-            sdp, Bf, r, G = ws.compile(varying)
-            assert ws.slack_block is not None
-            return _PreparedCondition(
-                name, base, expr_known, region, margin, free_lambda_times,
-                ws.program, ws.multipliers, ws.lam_expr, ws.slack_block,
-                sdp, Bf, r, G, endpoint,
-            )
-        prog = SOSProgram(n)
-        expr = SOSExpr.from_polynomial(expr_known - margin)
-        multipliers = []
-        for g, deg in zip(region.constraints, mult_degs):
-            s = prog.sos_poly(deg, label="sigma")
-            multipliers.append(s)
-            expr = expr - s * g
-        lam_expr = None
-        if free_lambda_times is not None:
-            lam_expr = prog.free_poly(cfg.lambda_degree, label="lambda")
-            expr = expr - lam_expr * free_lambda_times
-        # the slack degree must cover the full expression including the
-        # multiplier products sigma_i * g_i (expr.degree accounts for them)
-        slack = prog.require_sos(expr)
-        sdp, Bf, r, G = prog.compile()
+        lam_deg = cfg.lambda_degree if free_lambda_times is not None else None
+        cache_key = ws_key if ws_key is not None else base
+        ws = self._workspaces.get(cache_key)
+        if ws is None or not ws.matches(mult_degs, lam_deg):
+            ws = ConditionWorkspace(n, region.constraints, mult_degs, lam_deg)
+            self._workspaces[cache_key] = ws
+            tel.metrics.inc("verifier.workspace.misses")
+        else:
+            tel.metrics.inc("verifier.workspace.hits")
+        varying = SOSExpr.from_polynomial(expr_known - margin)
+        if ws.lam_expr is not None:
+            varying = varying - ws.lam_expr * free_lambda_times
+        sdp, Bf, r, G = ws.compile(varying)
+        assert ws.slack_block is not None
         return _PreparedCondition(
             name, base, expr_known, region, margin, free_lambda_times,
-            prog, multipliers, lam_expr, slack, sdp, Bf, r, G, endpoint,
+            ws.program, ws.multipliers, ws.lam_expr, ws.slack_block,
+            sdp, Bf, r, G, endpoint,
         )
 
     def _condition_box(
@@ -369,7 +346,6 @@ class SOSVerifier:
     ]:
         """Free-variable recovery, a-posteriori validation and reporting
         for one solved condition (mirrors :meth:`SOSProgram.solve`)."""
-        cfg = self.config
         tel = get_telemetry()
         name, base, prog = prep.name, prep.base, prep.prog
         free_values = np.zeros(prog._n_free)
@@ -426,7 +402,6 @@ class SOSVerifier:
             lo,
             hi,
             margin=prep.margin if prep.margin > 0 else 1e-6,
-            psd_tolerance=cfg.psd_tolerance,
             extra_grams=[
                 sol.gram(b.block_id)
                 for b in prog._blocks

@@ -260,6 +260,30 @@ def test_scan_tolerates_torn_trailing_line(tmp_path):
     assert records[0].incomplete
 
 
+def test_scan_skips_jobs_files_and_service_journals(tmp_path):
+    """Only run traces are runs: a certify jobs file and a service
+    journal (``.jsonl`` files with no manifest and no span/event record)
+    are not indexed."""
+    import shutil
+
+    from repro.service.journal import JobJournal
+
+    for suffix in (".jsonl", ".manifest.json", ".audit.json"):
+        shutil.copy(os.path.join(FIXTURES, "C1-smoke" + suffix), tmp_path)
+    (tmp_path / "table1_certify.jsonl").write_text(
+        '{"kind": "certify", "system": "C1", "seed": 0, '
+        '"config": {"scale": "smoke"}}\n'
+    )
+    (tmp_path / "svc").mkdir()
+    journal = JobJournal(str(tmp_path / "svc" / "journal.jsonl"))
+    journal.append("submit", "k" * 64, request={"kind": "verify"})
+    journal.append("complete", "k" * 64)
+    journal.close()
+    records = scan_runs(str(tmp_path))
+    assert [r.base for r in records] == ["C1-smoke"]
+    assert fleet_summary(records)["n_incomplete"] == 0
+
+
 def test_render_fleet_text_marks_truncated():
     rec = RunRecord(base="cut-smoke", system="C9", scale="smoke",
                     outcome="error", truncated=True)

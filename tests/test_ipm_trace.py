@@ -208,10 +208,11 @@ def test_solve_sdp_attaches_trace_and_class():
     assert math.isfinite(res.ipm_trace[0]["schur_diag_ratio"])
 
 
-def test_solve_sdp_trace_capacity_option():
-    res = solve_sdp(
-        _min_trace_problem(), InteriorPointOptions(trace_capacity=2)
-    )
+def test_solve_sdp_trace_capacity_option(monkeypatch):
+    import repro.sdp.ipm as ipm
+
+    monkeypatch.setattr(ipm, "DEFAULT_TRACE_CAPACITY", 2)
+    res = solve_sdp(_min_trace_problem())
     assert len(res.ipm_trace) <= 2
     assert res.ipm_trace_dropped == max(0, res.iterations - 2)
     assert res.ipm_trace[-1]["iteration"] == res.iterations

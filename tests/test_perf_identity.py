@@ -26,8 +26,10 @@ from repro.poly.fast_eval import (
 from repro.poly.monomials import monomials_upto
 from repro.resilience.errors import LearnerDivergence
 from repro.sets import Box
+from repro.sos import SOSExpr, SOSProgram
 from repro.telemetry import InMemorySink, configure, disable
 from repro.verifier import SOSVerifier, VerifierConfig
+from repro.verifier.sos_verifier import _condition_base, _PreparedCondition
 
 from tests.test_nn_layers import (
     PerParameterAdam,
@@ -97,11 +99,47 @@ def assert_results_identical(a, b):
 # ----------------------------------------------------------------------
 # SOS workspace cache
 # ----------------------------------------------------------------------
+class FreshProgramVerifier(SOSVerifier):
+    """Reference oracle: builds a fresh :class:`SOSProgram` for every
+    condition instead of refreshing the cached structural workspace."""
+
+    def _prepare(self, name, expr_known, region, margin,
+                 free_lambda_times=None, endpoint=(), ws_key=None):
+        cfg = self.config
+        target_deg = expr_known.degree
+        if free_lambda_times is not None:
+            target_deg = max(
+                target_deg, cfg.lambda_degree + free_lambda_times.degree
+            )
+        prog = SOSProgram(self.problem.n_vars)
+        expr = SOSExpr.from_polynomial(expr_known - margin)
+        multipliers = []
+        for g in region.constraints:
+            s = prog.sos_poly(
+                self._multiplier_degree(target_deg, g), label="sigma"
+            )
+            multipliers.append(s)
+            expr = expr - s * g
+        lam_expr = None
+        if free_lambda_times is not None:
+            lam_expr = prog.free_poly(cfg.lambda_degree, label="lambda")
+            expr = expr - lam_expr * free_lambda_times
+        # the slack degree must cover the full expression including the
+        # multiplier products sigma_i * g_i (expr.degree accounts for them)
+        slack = prog.require_sos(expr)
+        sdp, Bf, r, G = prog.compile()
+        return _PreparedCondition(
+            name, _condition_base(name), expr_known, region, margin,
+            free_lambda_times, prog, multipliers, lam_expr, slack,
+            sdp, Bf, r, G, endpoint,
+        )
+
+
 def test_workspace_cached_verify_identical_to_fresh():
     prob = decay_problem()
     B = radial_barrier(2)
-    cached = SOSVerifier(prob, [], config=VerifierConfig(workspace_cache=True))
-    fresh = SOSVerifier(prob, [], config=VerifierConfig(workspace_cache=False))
+    cached = SOSVerifier(prob, [])
+    fresh = FreshProgramVerifier(prob, [])
     # repeated verifies exercise the warm (hit) path of the cache
     for candidate in (B, B * 1.7 - 0.05 * Polynomial.variable(2, 0), B):
         assert_results_identical(cached.verify(candidate), fresh.verify(candidate))
@@ -110,8 +148,8 @@ def test_workspace_cached_verify_identical_to_fresh():
 def test_workspace_cached_verify_identical_on_failing_candidate():
     prob = decay_problem()
     bad = -1.0 * radial_barrier(2)
-    cached = SOSVerifier(prob, [], config=VerifierConfig(workspace_cache=True))
-    fresh = SOSVerifier(prob, [], config=VerifierConfig(workspace_cache=False))
+    cached = SOSVerifier(prob, [])
+    fresh = FreshProgramVerifier(prob, [])
     ra, rb = cached.verify(bad), fresh.verify(bad)
     assert not ra.ok
     assert_results_identical(ra, rb)
@@ -119,7 +157,7 @@ def test_workspace_cached_verify_identical_on_failing_candidate():
 
 def test_workspace_reused_across_verifies():
     prob = decay_problem()
-    v = SOSVerifier(prob, [], config=VerifierConfig(workspace_cache=True))
+    v = SOSVerifier(prob, [])
     v.verify(radial_barrier(2))
     workspaces_after_first = dict(v._workspaces)
     v.verify(radial_barrier(2, c=0.9))
@@ -154,8 +192,6 @@ def reference_fit(learner, data, field, epochs):
         loss.backward()
         opt.step()
         history.append(terms)
-        if terms.total < cfg.loss_tolerance:
-            break
     return history, opt
 
 

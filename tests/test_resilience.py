@@ -366,6 +366,26 @@ def test_snbc_time_budget_yields_clean_timeout():
     assert res.error["kind"] == "BudgetExhausted"
 
 
+def test_budgeted_run_leaves_callers_verifier_config_unchanged():
+    """The run caps each SDP at its remaining budget on its own copy of
+    the verifier config, not on the object the caller passed in."""
+    from repro.verifier import VerifierConfig
+
+    mine = VerifierConfig()
+    snbc = SNBC(
+        impossible_problem(),
+        learner_config=LearnerConfig(b_hidden=(4,), epochs=40, seed=0),
+        verifier_config=mine,
+        config=SNBCConfig(
+            max_iterations=1, n_samples=100, seed=0, time_budget_s=600.0
+        ),
+    )
+    snbc.run()
+    assert snbc.verifier_config.sdp_options.time_limit_s is not None
+    assert mine.sdp_options.time_limit_s is None
+    assert mine == VerifierConfig()
+
+
 def test_snbc_iteration_budget_yields_clean_timeout():
     res = snbc_for(
         impossible_problem(), max_iterations=3, iteration_budget_s=1e-9

@@ -130,6 +130,29 @@ def test_journal_compact_preserves_state(tmp_path):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_published_files_get_the_mode_open_gives(tmp_path, umask):
+    """Atomic writes and journal compaction publish their temp file by
+    rename, so it must carry ``0o666 & ~umask`` like a plain ``open``,
+    not ``mkstemp``'s 0600."""
+    from repro.utils import atomic_write_text
+
+    saved = os.umask(umask)
+    try:
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x")
+        atomic_write_text(str(tmp_path / "atomic.txt"), "x")
+        journal = JobJournal(str(tmp_path / "journal.jsonl"))
+        journal.append("submit", "k0", request={"seed": 0})
+        journal.compact()
+        journal.close()
+    finally:
+        os.umask(saved)
+    want = 0o666 & ~umask
+    for name in ("plain.txt", "atomic.txt", "journal.jsonl"):
+        assert os.stat(tmp_path / name).st_mode & 0o777 == want, name
+
+
 def test_journal_replay_missing_file_is_empty(tmp_path):
     state = replay_journal(str(tmp_path / "nope.jsonl"))
     assert state.jobs == {} and state.records == 0
@@ -283,7 +306,6 @@ def test_service_dead_letters_after_max_redeliveries(tmp_path):
             {"site": "service.worker_kill_mid_job", "times": 50},
         ),
         worker_faults_once=False,
-        serial_fallback=False,
     )
     out = run_service(str(tmp_path / "root"), [req], config)
     row = out["jobs"][req.key()]
@@ -351,18 +373,14 @@ def test_chaos_batch_terminates_and_matches_serial(tmp_path):
     # claim, recomputed digest) before the batch runs
     seed_root = str(tmp_path / "seed")
     run_service(seed_root, [reqs[0]], ServiceConfig(workers=0))
-    donor = CertificateCache(
-        os.path.join(seed_root, "cache"), verify_on_read=False
-    )
+    donor = CertificateCache(os.path.join(seed_root, "cache"))
     payload = donor.get(reqs[0])
     from repro.soundness import bundle_from_dict, bundle_to_dict
 
     bundle = bundle_from_dict(payload["bundle"])
     bundle.conditions[0].margin = float(bundle.conditions[0].margin) + 10.0
     payload["bundle"] = bundle_to_dict(bundle)
-    CertificateCache(
-        os.path.join(root, "cache"), verify_on_read=False
-    ).put(reqs[0], payload)
+    CertificateCache(os.path.join(root, "cache")).put(reqs[0], payload)
 
     config = ServiceConfig(
         workers=2,
