@@ -45,7 +45,6 @@ from repro.resilience.recovery import (
 )
 from repro.resilience.retry import (
     TERMINAL,
-    TERMINAL_KINDS,
     TRANSIENT,
     TRANSIENT_KINDS,
     RetryPolicy,
@@ -65,7 +64,6 @@ __all__ = [
     "SamplingError",
     "SolverNumericalError",
     "TERMINAL",
-    "TERMINAL_KINDS",
     "TRANSIENT",
     "TRANSIENT_KINDS",
     "TimeBudget",

@@ -40,11 +40,6 @@ from repro.resilience.errors import ReproError
 #: in the recovery ladder's starting point, freed memory)
 TRANSIENT_KINDS: Tuple[str, ...] = ("WorkerCrash", "SolverNumericalError")
 
-#: failure kinds retrying cannot fix: deadline overruns would overrun
-#: again (and the budget is already spent), checkpoint mismatches are
-#: configuration bugs
-TERMINAL_KINDS: Tuple[str, ...] = ("BudgetExhausted", "CheckpointError")
-
 #: classification labels
 TRANSIENT = "transient"
 TERMINAL = "terminal"

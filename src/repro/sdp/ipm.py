@@ -209,8 +209,8 @@ def _schur_regularization(M: np.ndarray, m: int) -> float:
 
 
 class _BlockData:
-    """Per-block constraint data, built once per solve from the (static)
-    svec constraint rows.
+    """Per-block constraint data, built once per constraint matrix (see
+    :func:`_constraint_operator`) from its svec rows.
 
     ``svecs`` is the block's ``(m, s)`` slice of the svec constraint
     matrix (the operators ``A`` and ``A^T``).  ``cols`` is the
@@ -262,6 +262,35 @@ def _constraint_csr(A: np.ndarray, dims: Tuple[int, ...]) -> sp.csr_matrix:
         (np.concatenate([vals, vals[off_diag]])[order], pos[order], indptr),
         shape=(m, sum(n * n for n in dims)),
     )
+
+
+def _constraint_operator(
+    problem: SDPProblem,
+) -> Tuple[List[_BlockData], sp.csr_matrix, np.ndarray]:
+    """The constraint rows as the IPM applies them: per-block
+    :class:`_BlockData`, the rows over all blocks in full ``n x n``
+    coordinates (:func:`_constraint_csr`), and the row norms.
+
+    Built once per constraint-matrix object and kept in the problem's
+    memo, so problems that differ only in ``b`` (see
+    :meth:`SDPProblem.with_rhs`) and re-solves of one problem reuse it.
+    """
+    A = problem.constraint_matrix()
+    op = problem.memo.get("ipm.operator", A)
+    if op is None:
+        blocks: List[_BlockData] = []
+        start = 0
+        for n in problem.block_dims:
+            s = n * (n + 1) // 2
+            blocks.append(_BlockData(n, A[:, start : start + s]))
+            start += s
+        op = (
+            blocks,
+            _constraint_csr(A, problem.block_dims),
+            np.linalg.norm(A, axis=1),
+        )
+        problem.memo.put("ipm.operator", A, op)
+    return op
 
 
 # ----------------------------------------------------------------------
@@ -472,17 +501,9 @@ class _IPMState:
         self.m = problem.n_constraints
         self.b = problem.rhs()
         self.C = [c.copy() for c in problem.C]
-        A_full = problem.constraint_matrix()
-        self.blocks: List[_BlockData] = []
-        start = 0
-        for n in self.dims:
-            s = n * (n + 1) // 2
-            self.blocks.append(_BlockData(n, A_full[:, start : start + s]))
-            start += s
-        # the constraint rows over all blocks in full n x n coordinates,
-        # and every X_k A_j Z_k^{-1} stacked in the same column order with
+        self.blocks, self.A_csr, row_norms = _constraint_operator(problem)
+        # every X_k A_j Z_k^{-1} stacked in the CSR's column order with
         # the constraint index j innermost (filled per iteration)
-        self.A_csr = _constraint_csr(A_full, self.dims)
         self.schur_products = np.empty((self.A_csr.shape[1], self.m))
         self.total_n = problem.total_dim
         self.norm_b = float(np.linalg.norm(self.b))
@@ -491,7 +512,6 @@ class _IPMState:
         )
 
         # -- initialization (CSDP-style magnitude heuristics)
-        row_norms = np.linalg.norm(A_full, axis=1)
         xi = max(
             opts.init_scale,
             float(np.max(np.abs(self.b) / (1.0 + row_norms))) * max(self.dims)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -12,6 +12,27 @@ from repro.sdp.svec import svec, svec_dim, sym
 #: rows per block of the presolve's blocked Gram-Schmidt: a GEMM size,
 #: not a tuning knob
 PRESOLVE_BLOCK = 64
+
+
+class MatrixMemo:
+    """Work derived from a constraint-matrix object, shared by the
+    problems that hold that object (see :meth:`SDPProblem.with_rhs`).
+
+    An entry records the matrix it was computed from and is returned
+    only for that same object, so a problem whose matrix was rebuilt
+    (rows appended, rows dropped by a presolve) never reads a stale
+    entry.  It lives as long as the problems that hold it.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[str, Tuple[np.ndarray, Any]] = {}
+
+    def get(self, key: str, A: np.ndarray) -> Any:
+        entry = self._entries.get(key)
+        return entry[1] if entry is not None and entry[0] is A else None
+
+    def put(self, key: str, A: np.ndarray, value: Any) -> None:
+        self._entries[key] = (A, value)
 
 
 class SDPProblem:
@@ -38,6 +59,8 @@ class SDPProblem:
         # memoized stacked constraint matrix; valid while its row count
         # matches len(_A_rows) (appends invalidate it implicitly)
         self._A_matrix: Optional[np.ndarray] = None
+        #: presolve and IPM work derived from the constraint matrix
+        self.memo = MatrixMemo()
 
     # ------------------------------------------------------------------
     @property
@@ -132,6 +155,26 @@ class SDPProblem:
         if seed_cache:
             self._A_matrix = A
 
+    def with_rhs(self, b: np.ndarray) -> "SDPProblem":
+        """This problem with right-hand side ``b``.
+
+        The copy keeps the block sizes and the objective, and shares the
+        constraint-matrix object and its :attr:`memo`: a presolve that
+        kept every row and the IPM's operator are computed once for
+        both.  Neither problem may be changed afterwards.
+        """
+        A = self.constraint_matrix()
+        b = np.asarray(b, dtype=float)
+        if b.shape != (A.shape[0],):
+            raise ValueError("rhs must have one entry per constraint row")
+        out = SDPProblem(self.block_dims)
+        out.C = [c.copy() for c in self.C]
+        out._A_rows = list(self._A_rows)
+        out._b = [float(v) for v in b]
+        out._A_matrix = A
+        out.memo = self.memo
+        return out
+
     # ------------------------------------------------------------------
     def constraint_matrix(self) -> np.ndarray:
         """Stacked constraint matrix over concatenated svec coordinates, (m, S)."""
@@ -180,12 +223,22 @@ class SDPProblem:
         (again twice).  Projecting twice keeps the basis orthogonal to
         working precision, so a kept set never exceeds the svec
         dimension.  The reduced problem holds the *original* kept rows.
+
+        Which rows are kept depends on the matrix alone, and only a
+        dropped row can make the system inconsistent.  So when the
+        matrix's :attr:`memo` records that a presolve at ``tol`` kept
+        every row, the test is skipped for any ``b``; a matrix with
+        dropped rows is tested again for each problem.
         """
         A = self.constraint_matrix()
         b = self.rhs()
         m, S = A.shape
         if m == 0:
             return self, PresolveInfo(kept_rows=[], dropped_rows=[], inconsistent=False)
+        if self.memo.get("presolve.full_rank_tol", A) == tol:
+            return self._reduced(list(range(m)), A), PresolveInfo(
+                list(range(m)), [], False
+            )
         scale = max(1.0, float(np.max(np.abs(A))))
         threshold = tol * scale
         rhs_tol = 1e-6 * max(1.0, float(np.max(np.abs(b))))
@@ -226,14 +279,24 @@ class SDPProblem:
                     dropped.append(start + j)
                     if abs(rhs_j) > rhs_tol:
                         inconsistent = True
+        if not dropped:
+            self.memo.put("presolve.full_rank_tol", A, tol)
+        return self._reduced(kept, A[kept] if dropped else A), PresolveInfo(
+            kept, dropped, inconsistent
+        )
+
+    def _reduced(self, kept: List[int], A_kept: np.ndarray) -> "SDPProblem":
+        """The problem restricted to rows ``kept``, with stacked matrix
+        ``A_kept``; it shares this problem's :attr:`memo`."""
         reduced = SDPProblem(self.block_dims)
         reduced.C = [c.copy() for c in self.C]
         for i in kept:
             reduced._A_rows.append(self._A_rows[i])
             reduced._b.append(self._b[i])
-        # seed the memo: the IPM reads the stacked matrix, not the row lists
-        reduced._A_matrix = A[kept] if dropped else A
-        return reduced, PresolveInfo(kept, dropped, inconsistent)
+        # the IPM reads the stacked matrix, not the row lists
+        reduced._A_matrix = A_kept
+        reduced.memo = self.memo
+        return reduced
 
 
 @dataclass

@@ -18,10 +18,19 @@ the projection and SDP assembly mirror ``SOSProgram.compile`` line for
 line.  The only shortcut is
 skipping the multiply-by-identity projection when there are no free
 variables, which is exact.
+
+Checks that differ only in the known part of the expression (the Lie
+condition at the inclusion-error endpoints ``w = +-sigma*``: ``w``
+enters the constant term alone) have the same rows and free columns.
+:meth:`ConditionWorkspace.compile` given the first one's
+:class:`CompiledCheck` reuses its ``G`` and projected rows and
+projects only the new right-hand side.  The reuse is guarded by
+exact equality, so it yields the arrays a fresh compile would.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +55,25 @@ def lambda_expr(n_vars: int, degree: int) -> SOSExpr:
     for fid, alpha in enumerate(monomials_upto(n_vars, degree)):
         coeffs[alpha] = LinCoeff(free={fid: 1.0})
     return SOSExpr(n_vars, coeffs)
+
+
+@dataclass
+class CompiledCheck:
+    """One compiled Putinar check: the SDP, the raw system ``G q + Bf f
+    = r`` it projects, and what a check with the same rows and free
+    columns reuses (see :meth:`ConditionWorkspace.compile`)."""
+
+    sdp: SDPProblem
+    Bf: np.ndarray
+    r: np.ndarray
+    G: np.ndarray
+    #: the template rows ``G`` was built from; a slack-degree change
+    #: replaces the dict, nothing mutates it.  The rows are its keys:
+    #: every monomial of ``varying`` is a product of two slack-basis
+    #: monomials, so it already has a row
+    rows: Dict[Exponent, np.ndarray]
+    #: built from an earlier compile's rows: the SDPs differ only in ``b``
+    reused: bool = False
 
 
 class ConditionWorkspace:
@@ -147,27 +175,28 @@ class ConditionWorkspace:
 
     # ------------------------------------------------------------------
     def compile(
-        self, varying: SOSExpr
-    ) -> Tuple[SDPProblem, np.ndarray, np.ndarray, np.ndarray]:
+        self, varying: SOSExpr, like: Optional[CompiledCheck] = None
+    ) -> CompiledCheck:
         """Refresh the affine data for ``varying`` (the known polynomial
         part plus any ``- lambda * B`` free contribution) and build the
-        SDP; same return contract as :meth:`SOSProgram.compile`.
+        SDP, with the data :meth:`SOSProgram.compile` returns.
 
         ``varying`` must carry no Gram entries — all Gram structure lives
         in the cached template.
+
+        ``like`` is an earlier compile of this workspace.  When it has
+        the same template rows (the same dict) and an equal ``Bf``, its
+        ``G`` and SDP constraint matrix are reused and only ``r`` is
+        projected: the SDP is ``like.sdp.with_rhs(N^T r)``.
         """
         slack_half = (max(self.template_degree, varying.degree) + 1) // 2
         self._ensure_slack(slack_half)
         n_free = self.program._n_free
         alphas = sorted(set(self._rows) | set(varying.coeffs))
         m = len(alphas)
-        G = np.zeros((m, self._total_svec))
         Bf = np.zeros((m, n_free))
         r = np.zeros(m)
         for i, alpha in enumerate(alphas):
-            row = self._rows.get(alpha)
-            if row is not None:
-                G[i] = row
             lc = varying.coeffs.get(alpha)
             if lc is not None:
                 if lc.gram:
@@ -177,18 +206,35 @@ class ConditionWorkspace:
                 r[i] = lc.const
                 for fid, v in lc.free.items():
                     Bf[i, fid] -= v
-        if n_free > 0 and Bf.size:
-            N = null_space(Bf.T)
-            G_proj = N.T @ G
-            r_proj = N.T @ r
+        reuse = (
+            like is not None
+            and like.rows is self._rows
+            and np.array_equal(like.Bf, Bf)
+        )
+        if reuse:
+            G = like.G
         else:
-            # fresh compile multiplies by the identity here; skipping the
-            # no-op matmul is exact
-            G_proj, r_proj = G, r
+            G = np.zeros((m, self._total_svec))
+            for i, alpha in enumerate(alphas):
+                row = self._rows.get(alpha)
+                if row is not None:
+                    G[i] = row
+        # the null space is recomputed, not kept: it is an m x m array,
+        # and the SVD of the thin Bf^T costs little next to N^T G.  The
+        # fresh compile multiplies by the identity when there are no
+        # free variables; skipping the no-op matmul is exact
+        N = null_space(Bf.T) if n_free > 0 and Bf.size else None
+        r_proj = r if N is None else N.T @ r
+        if reuse:
+            assert like is not None
+            return CompiledCheck(
+                like.sdp.with_rhs(r_proj), Bf, r, G, self._rows, reused=True
+            )
+        G_proj = G if N is None else N.T @ G
         sdp = SDPProblem(self._block_sizes)
         sdp.set_trace_objective(1.0)
         # bulk add: same row data as the per-row add_constraint_svec loop
         # (bitwise-identical solves) and G_proj doubles as the problem's
         # stacked constraint-matrix memo, skipping re-concatenation
         sdp.add_constraints_from_matrix(G_proj, r_proj)
-        return sdp, Bf, r, G
+        return CompiledCheck(sdp, Bf, r, G, self._rows)

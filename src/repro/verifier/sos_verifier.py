@@ -20,7 +20,7 @@ from repro.sdp.svec import svec
 from repro.sets import SemialgebraicSet
 from repro.sos import SOSExpr, SOSProgram, validate_sos_identity
 from repro.sos.program import GramBlock, SOSSolution
-from repro.sos.workspace import ConditionWorkspace
+from repro.sos.workspace import CompiledCheck, ConditionWorkspace
 from repro.soundness.certificate import (
     CertificateBundle,
     ConditionCertificate,
@@ -94,7 +94,9 @@ class VerifierConfig:
     #: start through the recovery ladder's ``cold_restart`` rung.  NOT
     #: bitwise-comparable to cold solves (different central path), hence
     #: off by default; verdicts and a-posteriori validation are
-    #: unaffected.
+    #: unaffected.  Independent of this store, a Lie endpoint after the
+    #: first always starts from the first endpoint's solution within
+    #: one :meth:`SOSVerifier.verify` call (see ``_putinar_check``).
     warm_start: bool = False
 
 
@@ -182,6 +184,20 @@ class _PreparedCondition:
     #: inclusion-error endpoint the Lie condition is certified at
     #: (empty for init/unsafe)
     endpoint: Tuple[float, ...] = ()
+    #: the workspace compile the SDP came from; ``None`` when it was
+    #: built without the workspace
+    compiled: Optional[CompiledCheck] = None
+
+
+@dataclass
+class _FirstEndpoint:
+    """What the first inclusion-error endpoint of one Psi cell's Lie
+    condition hands the cell's later endpoints, within one
+    :meth:`SOSVerifier.verify` call: its compiled SDP (theirs differ
+    only in ``b``) and its solve (their warm start)."""
+
+    compiled: Optional[CompiledCheck]
+    result: SDPResult
 
 
 class SOSVerifier:
@@ -245,6 +261,7 @@ class SOSVerifier:
         free_lambda_times: Optional[Polynomial] = None,
         endpoint: Tuple[float, ...] = (),
         ws_key: Optional[str] = None,
+        like: Optional[CompiledCheck] = None,
     ) -> _PreparedCondition:
         """Build the SDP for ``expr - sum sigma_i g_i - margin (+ lambda *
         B) in SOS`` through the cached structural workspace (monomial
@@ -255,6 +272,8 @@ class SOSVerifier:
         ``ws_key`` scopes the workspace cache: cells of a decomposed
         region carry different constraint polynomials, so each cell gets
         its own workspace (endpoints of the same cell still share one).
+        ``like`` is an earlier compile the workspace may reuse (see
+        :meth:`ConditionWorkspace.compile`).
         """
         cfg = self.config
         tel = get_telemetry()
@@ -280,12 +299,13 @@ class SOSVerifier:
         varying = SOSExpr.from_polynomial(expr_known - margin)
         if ws.lam_expr is not None:
             varying = varying - ws.lam_expr * free_lambda_times
-        sdp, Bf, r, G = ws.compile(varying)
+        compiled = ws.compile(varying, like=like)
         assert ws.slack_block is not None
         return _PreparedCondition(
             name, base, expr_known, region, margin, free_lambda_times,
             ws.program, ws.multipliers, ws.lam_expr, ws.slack_block,
-            sdp, Bf, r, G, endpoint,
+            compiled.sdp, compiled.Bf, compiled.r, compiled.G, endpoint,
+            compiled,
         )
 
     def _condition_box(
@@ -440,14 +460,25 @@ class SOSVerifier:
         free_lambda_times: Optional[Polynomial] = None,
         endpoint: Tuple[float, ...] = (),
         ws_key: Optional[str] = None,
+        first: Optional[_FirstEndpoint] = None,
     ) -> Tuple[
-        ConditionReport, Optional[Polynomial], Optional[ConditionCertificate]
+        ConditionReport,
+        Optional[Polynomial],
+        Optional[ConditionCertificate],
+        _FirstEndpoint,
     ]:
         """Feasibility of ``expr - sum sigma_i g_i - margin (+ lambda * B) in SOS``.
 
         When ``free_lambda_times`` is given (the candidate ``B``), a free
         polynomial ``lambda`` of ``config.lambda_degree`` multiplies it and
         is returned with the report (sub-problem (15)).
+
+        ``first`` is the same cell's first Lie endpoint.  When this
+        check (a later endpoint) has the same rows, it reuses that
+        endpoint's compiled SDP and starts its IPM from that endpoint's
+        solution; otherwise it runs as if ``first`` were absent.  The
+        last element returned is this check's own compile and solve, for
+        the endpoints after it.
         """
         t0 = time.perf_counter()
         cfg = self.config
@@ -461,13 +492,18 @@ class SOSVerifier:
             prep = self._prepare(
                 name, expr_known, region, margin, free_lambda_times,
                 endpoint=endpoint, ws_key=ws_key,
+                like=first.compiled if first is not None else None,
             )
+            warm = self._warm_for(name)
+            if prep.compiled is not None and prep.compiled.reused:
+                assert first is not None  # only b differs from its SDP
+                warm = WarmStart.from_result(first.result)
             result = solve_sdp_resilient(
-                prep.sdp, cfg.sdp_options, cfg.recovery,
-                warm_start=self._warm_for(name),
+                prep.sdp, cfg.sdp_options, cfg.recovery, warm_start=warm,
             )
             self._note_warm(name, result)
-            return self._finish(prep, result, t0, span=span)
+            report, lam, cert = self._finish(prep, result, t0, span=span)
+            return report, lam, cert, _FirstEndpoint(prep.compiled, result)
 
     def _warm_for(self, name: str) -> Optional[WarmStart]:
         """The stored warm-start point for a condition (None when the
@@ -519,7 +555,7 @@ class SOSVerifier:
         # cover the region, so the conjunction implies the condition)
         theta_cells = self.problem.theta.decompose()
         for ci, cell in enumerate(theta_cells):
-            rep, _, cert = self._putinar_check(
+            rep, _, cert, _ = self._putinar_check(
                 _cell_name("init", ci, len(theta_cells)),
                 B, cell, margin=cfg.eps_init, ws_key=_ws_key("init", ci, len(theta_cells)),
             )
@@ -533,7 +569,7 @@ class SOSVerifier:
         if all(r.ok for r in reports):
             xi_cells = self.problem.xi.decompose()
             for ci, cell in enumerate(xi_cells):
-                rep_u, _, cert_u = self._putinar_check(
+                rep_u, _, cert_u, _ = self._putinar_check(
                     _cell_name("unsafe", ci, len(xi_cells)),
                     -1.0 * B, cell, margin=cfg.eps_unsafe,
                     ws_key=_ws_key("unsafe", ci, len(xi_cells)),
@@ -548,10 +584,14 @@ class SOSVerifier:
                 ConditionReport("unsafe", False, False, 0.0, "skipped (init failed)")
             )
 
-        # (15): Lie condition at every inclusion-error endpoint, per cell
+        # (15): Lie condition at every inclusion-error endpoint, per cell.
+        # A cell's endpoints differ only in the SDP's rhs: the later ones
+        # reuse the first one's compiled SDP and start from its solution
+        # (they run only if it passed: a failure ends the loop)
         if all(r.ok for r in reports):
             endpoints = self._error_endpoints()
             psi_cells = self.problem.psi.decompose()
+            firsts: List[Optional[_FirstEndpoint]] = [None] * len(psi_cells)
             failed = False
             for idx, w in enumerate(endpoints):
                 field_polys = self.problem.system.closed_loop(
@@ -561,7 +601,7 @@ class SOSVerifier:
                 ename = "lie" if len(endpoints) == 1 else f"lie[w={np.round(w, 6).tolist()}]"
                 for ci, cell in enumerate(psi_cells):
                     name = _cell_name(ename, ci, len(psi_cells))
-                    rep_l, lam, cert_l = self._putinar_check(
+                    rep_l, lam, cert_l, solved = self._putinar_check(
                         name,
                         lfb,
                         cell,
@@ -569,7 +609,10 @@ class SOSVerifier:
                         free_lambda_times=B,
                         endpoint=w,
                         ws_key=_ws_key("lie", ci, len(psi_cells)),
+                        first=firsts[ci],
                     )
+                    if idx == 0 and len(endpoints) > 1:
+                        firsts[ci] = solved
                     reports.append(rep_l)
                     if cert_l is not None:
                         certs.append(cert_l)

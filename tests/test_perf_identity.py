@@ -101,10 +101,13 @@ def assert_results_identical(a, b):
 # ----------------------------------------------------------------------
 class FreshProgramVerifier(SOSVerifier):
     """Reference oracle: builds a fresh :class:`SOSProgram` for every
-    condition instead of refreshing the cached structural workspace."""
+    condition instead of refreshing the cached structural workspace
+    (and never reuses an earlier endpoint's compile: ``like`` is
+    ignored)."""
 
     def _prepare(self, name, expr_known, region, margin,
-                 free_lambda_times=None, endpoint=(), ws_key=None):
+                 free_lambda_times=None, endpoint=(), ws_key=None,
+                 like=None):
         cfg = self.config
         target_deg = expr_known.degree
         if free_lambda_times is not None:
