@@ -9,7 +9,8 @@ sub-problems (13)-(15) of the paper — into block-diagonal SDPs:
   paper's candidate-then-check scheme avoids);
 * :class:`~repro.sos.program.SOSProgram` — declares SOS / free polynomial
   variables, accumulates ``expr in Sigma[x]`` constraints, eliminates free
-  scalars by nullspace projection and calls the interior-point solver;
+  scalars by sparse pivoting (:func:`~repro.sos.program.eliminate_free`)
+  and calls the interior-point solver;
 * :mod:`~repro.sos.validate` — a-posteriori numerical validation of the
   returned Gram matrices (eigenvalue margin + coefficient residual bound).
 """

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import lu, svd
 
 from repro.poly import Polynomial
 from repro.poly.monomials import Exponent, add_exponents, monomials_upto
@@ -34,6 +34,75 @@ class GramBlock:
     @property
     def size(self) -> int:
         return len(self.basis)
+
+
+@dataclass(frozen=True)
+class FreeElimination:
+    """The free variables ``f`` eliminated from ``G q + Bf f = r``.
+
+    ``pivots`` are rows ``P`` of ``Bf`` whose block ``B_P`` is a basis of
+    its row space.  Every other row ``i`` (``keep``, in order) becomes
+    ``G_i q - C_i G_P q = r_i - C_i r_P`` with ``C = B_R B_P^{-1}``: the
+    system ``q`` must satisfy for some ``f``.  These rows span
+    ``null(Bf^T)^T G``, so the feasible set is the one a null-space
+    projection gives, but the rows stay sparse: a zero row of ``Bf``
+    keeps its ``G`` row as it is, and a row with ``C_i != 0`` gains only
+    the pivot rows' nonzeros.
+    """
+
+    keep: np.ndarray
+    pivots: np.ndarray
+    #: ``(len(keep), len(pivots))``, entries of magnitude at most 1
+    C: np.ndarray
+
+    def apply(self, M: np.ndarray) -> np.ndarray:
+        """The eliminated rows of ``M`` (``G``, or ``r``); ``M`` itself
+        when nothing is eliminated."""
+        if not self.pivots.size:
+            return M
+        out = M[self.keep]
+        touched = np.flatnonzero(np.any(self.C, axis=1))
+        out[touched] -= self.C[touched] @ M[self.pivots]
+        return out
+
+
+def eliminate_free(Bf: np.ndarray) -> FreeElimination:
+    """Pick the pivot rows of ``Bf`` and ``C`` for :class:`FreeElimination`.
+
+    Rank is decided as an SVD null-space basis decides it: singular
+    values above ``eps * max(m, k)`` times the largest.  A rank-deficient
+    ``Bf`` is pivoted through an orthonormal basis of its range, which
+    has the same null space.  LU with partial pivoting picks the pivots;
+    rows are then swapped while an entry of ``C`` exceeds 1 in magnitude
+    (each swap grows ``|det B_P|``, so it ends), which keeps ``|C| <= 1``.
+    """
+    m, k = Bf.shape
+    nonzero = np.flatnonzero(np.any(Bf, axis=1))
+    if not nonzero.size:
+        return FreeElimination(
+            np.arange(m), np.zeros(0, dtype=np.intp), np.zeros((m, 0))
+        )
+    B = Bf[nonzero]
+    U, s, _ = svd(B, full_matrices=False)
+    rank = int(np.count_nonzero(s > s[0] * np.finfo(float).eps * max(m, k)))
+    if rank < k:
+        B = U[:, :rank]
+    p, _, _ = lu(B, p_indices=True)
+    order = np.argsort(p)  # B[order] = L U: the pivot rows come first
+    piv, rest = order[:rank], order[rank:]
+    while True:
+        C = np.linalg.solve(B[piv].T, B[rest].T).T
+        if not C.size:
+            break
+        i, j = np.unravel_index(np.argmax(np.abs(C)), C.shape)
+        if abs(C[i, j]) <= 1.0 + 1e-9:
+            break
+        piv[j], rest[i] = rest[i], piv[j]
+    pivots = nonzero[piv]
+    keep = np.setdiff1d(np.arange(m), pivots)
+    C_rows = np.zeros((m, rank))
+    C_rows[nonzero[rest]] = C
+    return FreeElimination(keep, pivots, C_rows[keep])
 
 
 class SOSProgram:
@@ -137,8 +206,8 @@ class SOSProgram:
 
         Returns ``(sdp, B_free, rhs_rows, G_rows)`` where the raw equality
         system is ``G_rows . svec(Q_all) + B_free . f = rhs_rows`` and the SDP
-        already contains the free-variable-eliminated (nullspace-projected)
-        rows.
+        already contains the free-variable-eliminated rows (sparse
+        pivoting, see :func:`eliminate_free`).
 
         With ``objective`` (an affine expression over decision variables to
         *minimize*), the free-variable part is rewritten through the
@@ -208,13 +277,9 @@ class SOSProgram:
         Bf = np.array(rows_B).reshape(len(rows_G), self._n_free)
         r = np.array(rhs)
 
-        # eliminate free scalars: project onto null(Bf^T)
-        if self._n_free > 0 and Bf.size:
-            N = null_space(Bf.T)
-        else:
-            N = np.eye(len(rows_G))
-        G_proj = N.T @ G
-        r_proj = N.T @ r
+        elim = eliminate_free(Bf)
+        G_proj = elim.apply(G)
+        r_proj = elim.apply(r)
 
         sdp = SDPProblem(block_sizes)
         if objective is None:

@@ -13,19 +13,19 @@ Result identity with the uncached :meth:`SOSProgram.compile` path is by
 construction: the template rows are accumulated with the same float
 operations in the same order the fresh compile would perform (the gram
 dictionaries merge in identical insertion order), the varying data
-lands in disjoint array slots (const -> rhs, free -> B-columns), and
-the projection and SDP assembly mirror ``SOSProgram.compile`` line for
-line.  The only shortcut is
-skipping the multiply-by-identity projection when there are no free
-variables, which is exact.
+lands in disjoint array slots (const -> rhs, free -> B-columns), both
+eliminate the free variables with
+:func:`~repro.sos.program.eliminate_free`, and the SDP assembly mirrors
+``SOSProgram.compile``.
 
 Checks that differ only in the known part of the expression (the Lie
 condition at the inclusion-error endpoints ``w = +-sigma*``: ``w``
 enters the constant term alone) have the same rows and free columns.
 :meth:`ConditionWorkspace.compile` given the first one's
-:class:`CompiledCheck` reuses its ``G`` and projected rows and
-projects only the new right-hand side.  The reuse is guarded by
-exact equality, so it yields the arrays a fresh compile would.
+:class:`CompiledCheck` reuses its ``G``, its elimination and its
+eliminated rows, and eliminates only the new right-hand side.  The
+reuse is guarded by exact equality, so it yields the arrays a fresh
+compile would.
 """
 
 from __future__ import annotations
@@ -34,14 +34,19 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import null_space
 
 from repro.poly import Polynomial
 from repro.poly.monomials import Exponent, add_exponents, monomials_upto
 from repro.sdp import SDPProblem
 from repro.sdp.svec import svec_dim
 from repro.sos.expr import LinCoeff, SOSExpr
-from repro.sos.program import GramBlock, SOSProgram, _SQRT2
+from repro.sos.program import (
+    FreeElimination,
+    GramBlock,
+    SOSProgram,
+    _SQRT2,
+    eliminate_free,
+)
 
 
 def lambda_expr(n_vars: int, degree: int) -> SOSExpr:
@@ -60,13 +65,15 @@ def lambda_expr(n_vars: int, degree: int) -> SOSExpr:
 @dataclass
 class CompiledCheck:
     """One compiled Putinar check: the SDP, the raw system ``G q + Bf f
-    = r`` it projects, and what a check with the same rows and free
-    columns reuses (see :meth:`ConditionWorkspace.compile`)."""
+    = r`` it eliminates ``f`` from, and what a check with the same rows
+    and free columns reuses (see :meth:`ConditionWorkspace.compile`)."""
 
     sdp: SDPProblem
     Bf: np.ndarray
     r: np.ndarray
     G: np.ndarray
+    #: how ``f`` was eliminated; a function of ``Bf`` alone
+    elimination: FreeElimination
     #: the template rows ``G`` was built from; a slack-degree change
     #: replaces the dict, nothing mutates it.  The rows are its keys:
     #: every monomial of ``varying`` is a product of two slack-basis
@@ -186,8 +193,8 @@ class ConditionWorkspace:
 
         ``like`` is an earlier compile of this workspace.  When it has
         the same template rows (the same dict) and an equal ``Bf``, its
-        ``G`` and SDP constraint matrix are reused and only ``r`` is
-        projected: the SDP is ``like.sdp.with_rhs(N^T r)``.
+        ``G``, elimination and SDP constraint matrix are reused and only
+        ``r`` is eliminated: the SDP is ``like.sdp.with_rhs(r_R - C r_P)``.
         """
         slack_half = (max(self.template_degree, varying.degree) + 1) // 2
         self._ensure_slack(slack_half)
@@ -212,29 +219,23 @@ class ConditionWorkspace:
             and np.array_equal(like.Bf, Bf)
         )
         if reuse:
-            G = like.G
-        else:
-            G = np.zeros((m, self._total_svec))
-            for i, alpha in enumerate(alphas):
-                row = self._rows.get(alpha)
-                if row is not None:
-                    G[i] = row
-        # the null space is recomputed, not kept: it is an m x m array,
-        # and the SVD of the thin Bf^T costs little next to N^T G.  The
-        # fresh compile multiplies by the identity when there are no
-        # free variables; skipping the no-op matmul is exact
-        N = null_space(Bf.T) if n_free > 0 and Bf.size else None
-        r_proj = r if N is None else N.T @ r
-        if reuse:
             assert like is not None
+            elim = like.elimination
             return CompiledCheck(
-                like.sdp.with_rhs(r_proj), Bf, r, G, self._rows, reused=True
+                like.sdp.with_rhs(elim.apply(r)), Bf, r, like.G, elim,
+                self._rows, reused=True,
             )
-        G_proj = G if N is None else N.T @ G
+        G = np.zeros((m, self._total_svec))
+        for i, alpha in enumerate(alphas):
+            row = self._rows.get(alpha)
+            if row is not None:
+                G[i] = row
+        elim = eliminate_free(Bf)
         sdp = SDPProblem(self._block_sizes)
         sdp.set_trace_objective(1.0)
         # bulk add: same row data as the per-row add_constraint_svec loop
-        # (bitwise-identical solves) and G_proj doubles as the problem's
-        # stacked constraint-matrix memo, skipping re-concatenation
-        sdp.add_constraints_from_matrix(G_proj, r_proj)
-        return CompiledCheck(sdp, Bf, r, G, self._rows)
+        # (bitwise-identical solves) and the eliminated G doubles as the
+        # problem's stacked constraint-matrix memo, skipping
+        # re-concatenation
+        sdp.add_constraints_from_matrix(elim.apply(G), elim.apply(r))
+        return CompiledCheck(sdp, Bf, r, G, elim, self._rows)

@@ -188,6 +188,41 @@ def test_later_endpoints_share_the_first_ones_matrix(case, monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# the eliminated Lie SDP keeps sparse rows
+# ----------------------------------------------------------------------
+def test_lie_sdp_keeps_sparse_rows(c6_case, monkeypatch):
+    problem, h, sigma, B = c6_case
+    compiled = []
+    original = ConditionWorkspace.compile
+
+    def recording(self, varying, like=None):
+        out = original(self, varying, like=like)
+        compiled.append(out)
+        return out
+
+    with monkeypatch.context() as mp:
+        fresh_calls = _recording(mp)
+        FreshProgramVerifier(problem, h, sigma).verify(B)
+    monkeypatch.setattr(ConditionWorkspace, "compile", recording)
+    calls = _recording(monkeypatch)
+    assert SOSVerifier(problem, h, sigma).verify(B).ok
+    lie = [c for c in compiled if c.Bf.shape[1]]
+    assert lie
+    for c in lie:
+        elim = c.elimination
+        assert elim.pivots.size == np.linalg.matrix_rank(c.Bf)
+        # row i is G_i - C_i G_P: only the pivot rows' nonzeros are added
+        touched = np.count_nonzero(np.any(elim.C, axis=1))
+        bound = np.count_nonzero(c.G) + touched * np.count_nonzero(c.G[elim.pivots])
+        assert np.count_nonzero(c.sdp.constraint_matrix()) <= bound
+    # the fresh SOSProgram compile eliminates lambda the same way
+    assert len(calls) == len(fresh_calls)
+    for (got, _), (ref, _) in zip(calls, fresh_calls):
+        assert got.constraint_matrix().tobytes() == ref.constraint_matrix().tobytes()
+        assert got.rhs().tobytes() == ref.rhs().tobytes()
+
+
+# ----------------------------------------------------------------------
 # the bitwise contract
 # ----------------------------------------------------------------------
 def _reference_lie(problem, h, sigma, B, monkeypatch):

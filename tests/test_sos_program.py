@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space, orth
 
 from repro.poly import Polynomial, lie_derivative
 from repro.sos import SOSExpr, SOSProgram, validate_sos_identity
+from repro.sos.program import eliminate_free
 
 
 def x_var(n=1, i=0):
@@ -139,6 +141,73 @@ def test_require_zero():
     sol = prog.solve()
     assert sol.feasible
     assert sol.value(f).is_close(1.0 + x, tol=1e-5)
+
+
+# ----------------------------------------------------------------------
+# free-variable elimination against the dense null-space oracle
+# ----------------------------------------------------------------------
+def _elimination_cases():
+    rng = np.random.default_rng(7)
+    sparse8 = rng.standard_normal((30, 8))
+    # zero rows, as most monomials of a Lie SDP have no lambda term
+    sparse8[rng.choice(30, 10, replace=False)] = 0.0
+    dup = rng.standard_normal((20, 3))
+    return {
+        "k=1": (rng.standard_normal((12, 1)), 1),
+        "k=8": (sparse8, 8),
+        "duplicated-column": (np.column_stack([dup, dup[:, 1]]), 3),
+        "all-zero": (np.zeros((9, 2)), 0),
+        "m==rank": (rng.standard_normal((5, 5)), 5),
+    }
+
+
+def _same_row_space(A, B, tol=1e-9):
+    """Equal row spaces: equal ranks and each projects onto the other."""
+    for X, Y in ((A, B), (B, A)):
+        Q = orth(Y.T)
+        assert np.linalg.norm(X - (X @ Q) @ Q.T) <= tol * max(1.0, np.linalg.norm(X))
+    assert np.linalg.matrix_rank(A) == np.linalg.matrix_rank(B)
+
+
+@pytest.mark.parametrize("case", list(_elimination_cases()))
+def test_free_elimination_matches_null_space_projection(case):
+    Bf, rank = _elimination_cases()[case]
+    m = Bf.shape[0]
+    rng = np.random.default_rng(11)
+    G = rng.standard_normal((m, 40)) * (rng.random((m, 40)) < 0.2)
+    r = rng.standard_normal(m)
+    elim = eliminate_free(Bf)
+    assert elim.C.shape == (m - rank, rank)
+    assert np.abs(elim.C).max(initial=0.0) <= 1.0 + 1e-9
+    A = elim.apply(G)
+    assert A.shape == (m - rank, G.shape[1])
+    assert np.abs(elim.apply(Bf)).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(Bf).max())
+    # the system with its right-hand side spans the oracle's rows
+    Gr = np.column_stack([G, r])
+    N = null_space(Bf.T)
+    assert N.shape[1] == m - rank
+    if m > rank:
+        _same_row_space(elim.apply(Gr), N.T @ Gr)
+    else:
+        assert elim.apply(Gr).shape == (0, Gr.shape[1])
+    # a zero row of Bf keeps its G row unchanged
+    zero = np.flatnonzero(~np.any(Bf, axis=1))
+    kept = np.searchsorted(elim.keep, zero)
+    assert np.array_equal(A[kept], G[zero])
+
+
+def test_free_elimination_of_a_determined_program_solves():
+    # lambda has one coefficient per row: the eliminated SDP has no rows
+    prog = SOSProgram(1)
+    x = x_var()
+    lam = prog.free_poly(2)
+    block = prog.require_sos(SOSExpr.from_polynomial(x * x + 1.0) - lam)
+    sdp, Bf, _r, _G = prog.compile()
+    assert Bf.shape == (3, 3) and sdp.n_constraints == 0
+    sol = prog.solve()
+    assert sol.feasible
+    realized = x * x + 1.0 - sol.value(lam)
+    assert realized.is_close(sol.slack_polynomial(block), tol=1e-6)
 
 
 # ----------------------------------------------------------------------
