@@ -12,7 +12,6 @@
 from repro.analysis.simulate import SimulationResult, check_empirical_safety, simulate
 from repro.analysis.phase_portrait import PhasePortraitData, phase_portrait
 from repro.analysis.tables import Table, format_table
-from repro.analysis.reachability import ReachabilityReport, ReachTube, estimate_reachability
 
 __all__ = [
     "simulate",
@@ -22,7 +21,4 @@ __all__ = [
     "PhasePortraitData",
     "Table",
     "format_table",
-    "estimate_reachability",
-    "ReachabilityReport",
-    "ReachTube",
 ]

@@ -27,7 +27,7 @@ time; callers fall back to the per-epoch graph path.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -441,8 +441,3 @@ class Tape:
         ]
         self.replays += 1
         return out
-
-
-def watched_values(tensors: Sequence[Tensor]) -> List[float]:
-    """Scalar values of watched nodes after a replay (logging helper)."""
-    return [t.item() for t in tensors]

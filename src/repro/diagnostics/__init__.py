@@ -11,9 +11,7 @@ to answer *how well it went*:
 * :mod:`repro.diagnostics.bench` / :mod:`repro.diagnostics.regress` —
   the one BENCH document schema (Table-1, scenario-sweep and service
   kinds) and the gate that compares two documents of one kind against
-  that kind's policy (``python -m repro.telemetry regress OLD NEW``);
-* :mod:`repro.diagnostics.html` — the single-file HTML dashboard
-  (``python -m repro.telemetry report RUN --html PATH``).
+  that kind's policy (``python -m repro.telemetry regress OLD NEW``).
 
 Import discipline: this package is imported *by* :mod:`repro.cegis`
 (the stall detector runs inside the loop), so nothing here may import

@@ -14,7 +14,7 @@ competitive; prefer :func:`compile_field` for systems.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Sequence, Tuple, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -106,11 +106,6 @@ def set_compile_cache_enabled(enabled: bool) -> bool:
 
 def clear_compile_cache() -> None:
     _COMPILE_CACHE.clear()
-
-
-def compile_cache_info() -> Tuple[int, int]:
-    """(current size, capacity) of the compile cache."""
-    return len(_COMPILE_CACHE), _COMPILE_CACHE_MAX
 
 
 def compile_field(field: Sequence[Polynomial]) -> CompiledPolynomial:

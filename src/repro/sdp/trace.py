@@ -236,18 +236,3 @@ def classify_convergence(
 
     return "healthy"
 
-
-def summarize_trace(
-    trace: Optional[IPMTrace],
-    tolerance: float = 1e-8,
-) -> Dict[str, Any]:
-    """JSON-ready summary payload for the ``sdp.ipm_trace`` event."""
-    if trace is None:
-        return {"n_records": 0, "dropped": 0, "records": [], "convergence": "unknown"}
-    records = trace.records()
-    return {
-        "n_records": len(records),
-        "dropped": trace.dropped,
-        "records": records,
-        "convergence": classify_convergence(records, tolerance=tolerance),
-    }

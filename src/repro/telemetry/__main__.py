@@ -1,15 +1,14 @@
 """The observability CLI: one entry point, four subcommands.
 
-    python -m repro.telemetry report RUN [--format text|markdown|json] [--html PATH]
+    python -m repro.telemetry report RUN [--format text|markdown|json]
     python -m repro.telemetry fleet ROOT [--format text|json]
     python -m repro.telemetry tail TARGET [--fleet] [--once]
     python -m repro.telemetry regress OLD NEW [--max-slowdown X] [--only ROWS] [--allow-missing]
 
 * ``report`` — one run's report (:mod:`repro.telemetry.report`).  RUN is
   the run's base path or its ``.jsonl`` trace; the manifest and audit
-  beside it are read when present and warned about when not.  ``--html``
-  also writes the self-contained dashboard.  Exit 0 ok, 1 every trace
-  line malformed, 2 trace unreadable.
+  beside it are read when present and warned about when not.  Exit 0
+  ok, 1 every trace line malformed, 2 trace unreadable.
 * ``fleet`` — the cross-run aggregate of every trace under ROOT
   (:mod:`repro.telemetry.store`).  Exit 0 ok, 1 no runs found, 2 ROOT
   is not a directory.
@@ -73,23 +72,13 @@ def _report(args: argparse.Namespace) -> int:
                         RunManifest.load, "manifest")
     audit = _sibling(family.audit, family.base + ".audit.json", load_audit,
                      "audit artifact")
-    convergence = convergence_summary(events)
-    payload = report_payload(events, manifest, convergence, audit)
+    payload = report_payload(events, manifest, convergence_summary(events),
+                             audit)
 
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(render_report(payload, args.format), end="")
-    if args.html:
-        from repro.diagnostics.html import render_dashboard
-        from repro.utils.fileio import atomic_write_text
-
-        title = (manifest or {}).get("name") or os.path.basename(family.base)
-        atomic_write_text(args.html, render_dashboard(
-            title, manifest, convergence, audit, payload["phases"],
-            payload["metrics"],
-        ))
-        print(f"dashboard written to {args.html}", file=sys.stderr)
     return 0
 
 
@@ -159,8 +148,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("run", help="run base path or its .jsonl trace")
     p.add_argument("--format", choices=["text", "markdown", "json"],
                    default="text")
-    p.add_argument("--html", default=None,
-                   help="also write the self-contained HTML dashboard here")
     p.set_defaults(handler=_report)
 
     p = sub.add_parser("fleet", help="aggregate every run under a root")

@@ -3,7 +3,6 @@
     python -m repro.telemetry report results/telemetry/C1-smoke
     python -m repro.telemetry report trace.jsonl --format markdown
     python -m repro.telemetry report trace.jsonl --format json
-    python -m repro.telemetry report trace.jsonl --html run.report.html
 
 Sections, each shown when the run has data for it:
 

@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 
 import pytest
 
 from repro.benchmarks import get_benchmark
 from repro.cegis import SNBC, SNBCConfig
 from repro.diagnostics import (
+    AUDIT_SCHEMA_VERSION,
     audit_certificate,
     bench_document,
     bench_entry,
@@ -485,16 +487,12 @@ def _write_run_family(tmp_path, name="run"):
     return base
 
 
-def test_report_cli_renders_and_writes_dashboard(tmp_path, capsys):
+def test_report_cli_renders_run(tmp_path, capsys):
     base = _write_run_family(tmp_path)
-    html = str(tmp_path / "nested" / "run.report.html")
-    assert cli_main(["report", base, "--html", html]) == 0
+    assert cli_main(["report", base]) == 0
     out = capsys.readouterr().out
     assert "unit/run" in out
     assert "Convergence" in out and "lineage" in out.lower()
-    page = open(html).read()
-    assert "<svg" in page and "</html>" in page
-    assert "http" not in page.replace("http://www.w3.org", "")  # offline
 
     # .jsonl path spells the same family
     family = run_family(base + ".jsonl")
@@ -503,13 +501,39 @@ def test_report_cli_renders_and_writes_dashboard(tmp_path, capsys):
     assert family.audit is None and family.status is None
 
 
-def test_report_cli_no_html(tmp_path, capsys):
-    import os
+def _cells(line):
+    """The cells of one text or markdown table row."""
+    return [c for c in re.split(r"\s{2,}|\s*\|\s*", line.strip()) if c]
 
-    base = _write_run_family(tmp_path, "nohtml")
-    assert cli_main(["report", base]) == 0
-    capsys.readouterr()
-    assert not any(name.endswith(".html") for name in os.listdir(tmp_path))
+
+@pytest.mark.parametrize("fmt", ["text", "markdown"])
+@pytest.mark.parametrize("ok", [True, False])
+def test_report_cli_prints_grid_margins_and_exact_recheck(
+        tmp_path, capsys, fmt, ok):
+    """The audit section carries the run's verdict: one row per grid
+    margin and the exact recheck over Q, in both table formats."""
+    base = _write_run_family(tmp_path)
+    grid = {"init": {"margin": 0.423, "n_points": 4096},
+            "lie": {"margin": -0.0527, "n_endpoints": 2, "n_points": 1024}}
+    audit = {
+        "schema_version": AUDIT_SCHEMA_VERSION, "kind": "certificate_audit",
+        "conditions": [], "grid_margins": grid,
+        "soundness": {"ok": ok, "conditions": [
+            {"name": "init", "ok": ok, "certified_margin": 1e-4,
+             "slack_shift": 0.0, "message": "" if ok else "Gram not PSD"}]},
+    }
+    with open(base + ".audit.json", "w") as fh:
+        json.dump(audit, fh)
+    assert cli_main(["report", base, "--format", fmt]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [_cells(line) for line in lines]
+
+    assert ["init", "0.423", "4096", "holds"] in rows
+    assert ["lie", "-0.053", "1024", "VIOLATED"] in rows
+    verdict = "PROVEN over Q" if ok else "REJECTED"
+    assert f"exact recheck: {verdict}" in lines
+    message = [] if ok else ["Gram not PSD"]
+    assert ["init", "ok" if ok else "FAILED", "0.0001", "0"] + message in rows
 
 
 def test_report_cli_missing_trace(tmp_path, capsys):

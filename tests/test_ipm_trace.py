@@ -18,7 +18,6 @@ from repro.sdp.trace import (
     CONVERGENCE_CLASSES,
     DEFAULT_TRACE_CAPACITY,
     make_record,
-    summarize_trace,
 )
 from repro.telemetry import InMemorySink, Telemetry, configure, disable
 
@@ -67,15 +66,6 @@ def test_make_record_defaults_mark_early_exit():
     assert math.isnan(rec["sigma"])
     assert rec["z_cholesky_ok"] and rec["schur_cholesky_ok"]
     assert math.isnan(rec["schur_diag_ratio"])
-
-
-def test_summarize_trace_handles_none():
-    assert summarize_trace(None)["convergence"] == "unknown"
-    trace = IPMTrace()
-    trace.add(_rec(1, 1e-12, rel_gap=1e-12, prim=1e-12, dual=1e-12))
-    summary = summarize_trace(trace)
-    assert summary["convergence"] == "healthy"
-    assert summary["n_records"] == 1
 
 
 # ----------------------------------------------------------------------
